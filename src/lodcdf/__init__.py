@@ -21,11 +21,9 @@ from .baselines import (
 from .data import (
     AllCensoredError,
     Dataset,
-    ExactTallyTable,
     IngestError,
     Observation,
     TallyTable,
-    exact_tally,
     ingest,
     tally,
 )
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllCensoredError",
     "Dataset",
-    "ExactTallyTable",
     "IngestError",
     "InvalidParameterError",
     "KmCurve",
@@ -80,7 +77,6 @@ __all__ = [
     "crhf_exp_cdf",
     "ecdf",
     "eval_cdf",
-    "exact_tally",
     "greenwood_variance",
     "ingest",
     "km_negation_oracle",

@@ -141,7 +141,8 @@ def perturb_censored_ties(dataset: Dataset, epsilon: float | None = None) -> Dat
             epsilon = max(1.0, float(table.values[0])) / 2.0
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    tied = set(table.values[(table.exact >= 1) & (table.censored >= 1)].tolist())
+    values, _, censored, _ = table.jumps()
+    tied = set(values[censored >= 1].tolist())
     return Dataset.from_pairs(
         (o.value + epsilon if (not o.detected and o.value in tied) else o.value,
          o.detected)

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -92,6 +93,8 @@ def _parse_floats(text: str, *, flag: str) -> list[float]:
         raise InvalidParameterError(f"{flag} expects comma-separated numbers, got {text!r}")
     if not values:
         raise InvalidParameterError(f"{flag} expects at least one number")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParameterError(f"{flag} expects finite numbers, got {text!r}")
     return values
 
 
@@ -106,10 +109,37 @@ def _default_seed() -> int:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write to stdout or to ``output``, following symlinks.
+
+    A new file, or an existing regular file with one link that this user
+    owns, is replaced in one step by a temporary file written next to it,
+    keeping its mode: a failed write leaves it as it was and no partial
+    file behind. Anything else (a FIFO, a device, a directory, a
+    hard-linked or another user's file) is opened and written in place.
+    """
     if output is None or output == "-":
         sys.stdout.write(text)
-    else:
-        Path(output).write_text(text)
+        return
+    target = Path(os.path.realpath(output))
+    st = target.stat() if target.exists() else None
+    if st is not None and not (
+        stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+    ):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    # Created exclusively: a file already at the temporary name is neither
+    # written nor removed.
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------- estimate
@@ -210,8 +240,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rhr = rhr_mle_cdf(table)
     # A jump is flagged when censored observations share its value; those
     # are exactly the points where the two estimators can disagree.
-    exact_mask = table.exact >= 1
-    tie = table.censored[exact_mask] >= 1
+    _, _, censored, _ = table.jumps()
+    tie = censored >= 1
     ratio = rhr.values / pl.values
     means = {
         policy: (mean_from_cdf(pl, policy), mean_from_cdf(rhr, policy))
@@ -262,24 +292,22 @@ def _config_dict(cfg: SimConfig) -> dict:
     return doc
 
 
-def _sim_config(args: argparse.Namespace, *, m_default: int = 1000) -> SimConfig:
-    if args.mu is None or args.sigma is None:
-        raise InvalidParameterError("simulate requires --mu and --sigma")
+def _sim_config(args: argparse.Namespace, **params: float) -> SimConfig:
+    """SimConfig from mu, sigma, mu_c, sigma_c and the shared study flags."""
     return SimConfig(
-        mu=args.mu,
-        sigma=args.sigma,
+        **params,
         scheme=args.scheme,
         lods=tuple(_parse_floats(args.lods, flag="--lods")),
-        mu_c=args.mu_c,
-        sigma_c=args.sigma_c,
         n=args.n,
-        m=args.m if args.m is not None else m_default,
+        m=args.m if args.m is not None else 1000,
         seed=args.seed if args.seed is not None else _default_seed(),
     )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _sim_config(args)
+    if args.mu is None or args.sigma is None:
+        raise InvalidParameterError("simulate requires --mu and --sigma")
+    cfg = _sim_config(args, mu=args.mu, sigma=args.sigma, mu_c=args.mu_c, sigma_c=args.sigma_c)
     result = run_study(cfg, jobs=args.jobs)
     doc = {
         "config": _config_dict(cfg),
@@ -328,6 +356,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         name = name.strip()
         if name not in ("mu", "sigma", "mu_c", "sigma_c"):
             raise InvalidParameterError(f"--fix accepts mu, sigma, mu_c, sigma_c; got {name!r}")
+        if name in fixed:
+            raise InvalidParameterError(f"--fix sets {name} more than once")
         try:
             fixed[name] = float(raw)
         except ValueError:
@@ -339,19 +369,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"{param} cannot be both fixed and swept")
     # The swept parameter needs a placeholder value so the base config
     # validates; every study overrides it.
-    base_fields = {"mu": 0.0, "sigma": 1.0}
-    base_fields.update(fixed)
-    base = SimConfig(
-        mu=base_fields["mu"],
-        sigma=base_fields["sigma"],
-        scheme=args.scheme,
-        lods=tuple(_parse_floats(args.lods, flag="--lods")),
-        mu_c=base_fields.get("mu_c", 0.0),
-        sigma_c=base_fields.get("sigma_c", 1.0),
-        n=args.n,
-        m=args.m if args.m is not None else 1000,
-        seed=args.seed if args.seed is not None else _default_seed(),
-    )
+    base = _sim_config(args, **{"mu": 0.0, "sigma": 1.0, "mu_c": 0.0, "sigma_c": 1.0, **fixed})
     results = sweep(base, param, grid, jobs=args.jobs)
     lines = [f"# sweep: {param}"]
     cfg_doc = _config_dict(base)
@@ -370,12 +388,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", type=float, default=None, help="log-normal location of the lifetimes")
-    p.add_argument("--sigma", type=float, default=None, help="log-normal scale of the lifetimes")
+    """Flags of ``simulate`` and ``sweep``; ``sweep`` takes mu etc. by --fix."""
     p.add_argument("--scheme", choices=("time", "random"), default="time")
     p.add_argument("--lods", default="0.5,1,2", help="comma-separated LODs for the time scheme")
-    p.add_argument("--mu-c", dest="mu_c", type=float, default=0.0, help="censoring location (random scheme)")
-    p.add_argument("--sigma-c", dest="sigma_c", type=float, default=1.0, help="censoring scale (random scheme)")
     p.add_argument("--n", type=int, default=50, help="sample size per replication")
     p.add_argument("--m", type=int, default=None, help="replication count (default 1000)")
     p.add_argument("--seed", type=int, default=None, help="study seed (default: LODCDF_SEED or 0)")
@@ -405,6 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_sim = sub.add_parser("simulate", help="one Monte Carlo study (JSON)")
+    p_sim.add_argument("--mu", type=float, default=None, help="log-normal location of the lifetimes")
+    p_sim.add_argument("--sigma", type=float, default=None, help="log-normal scale of the lifetimes")
+    p_sim.add_argument("--mu-c", dest="mu_c", type=float, default=0.0, help="censoring location (random scheme)")
+    p_sim.add_argument("--sigma-c", dest="sigma_c", type=float, default=1.0, help="censoring scale (random scheme)")
     _add_sim_flags(p_sim)
     p_sim.add_argument("--full", action="store_true", help="include the per-replication pair list")
     p_sim.set_defaults(func=cmd_simulate)
@@ -419,26 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per error class, as listed in the module docstring.
+_EXIT_CODES = {
+    OSError: 2,
+    IngestError: 3,
+    AllCensoredError: 4,
+    InvalidParameterError: 5,
+    StudyDegenerateError: 6,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"lodcdf: {exc}", file=sys.stderr)
-        return 2
-    except IngestError as exc:
-        print(f"lodcdf: {exc}", file=sys.stderr)
-        return 3
-    except AllCensoredError as exc:
-        print(f"lodcdf: {exc}", file=sys.stderr)
-        return 4
-    except InvalidParameterError as exc:
-        print(f"lodcdf: {exc}", file=sys.stderr)
-        return 5
-    except StudyDegenerateError as exc:
-        print(f"lodcdf: {exc}", file=sys.stderr)
-        return 6
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

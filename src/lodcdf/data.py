@@ -20,12 +20,10 @@ __all__ = [
     "Observation",
     "Dataset",
     "TallyTable",
-    "ExactTallyTable",
     "IngestError",
     "AllCensoredError",
     "ingest",
     "tally",
-    "exact_tally",
 ]
 
 
@@ -41,6 +39,9 @@ class IngestError(ValueError):
 
 class AllCensoredError(ValueError):
     """No detected value anywhere: no distribution estimate can be proposed."""
+
+
+_ALL_CENSORED = "every value is censored; no distribution estimate can be proposed"
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,9 +76,7 @@ class Dataset:
         if not obs:
             raise ValueError("dataset needs at least one observation")
         if not any(o.detected for o in obs):
-            raise AllCensoredError(
-                "every value is censored; no distribution estimate can be proposed"
-            )
+            raise AllCensoredError(_ALL_CENSORED)
         object.__setattr__(self, "observations", obs)
 
     @classmethod
@@ -144,45 +143,19 @@ class TallyTable:
     def n(self) -> int:
         return int(self.at_or_below[-1])
 
+    def jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The rows where an estimate can jump: values with an exact count >= 1.
 
-@dataclass(frozen=True)
-class ExactTallyTable:
-    """Rows of a TallyTable restricted to values with at least one exact observation."""
-
-    values: np.ndarray
-    exact: np.ndarray        # >= 1 by construction
-    censored: np.ndarray     # censored count at the same value (tie count)
-    at_or_below: np.ndarray  # cumulative count of the full sample <= value
-    total: np.ndarray        # exact + censored at the value
-
-    def __post_init__(self):
-        values = _frozen(np.asarray(self.values, dtype=np.float64))
-        exact = _frozen(np.asarray(self.exact, dtype=np.int64))
-        censored = _frozen(np.asarray(self.censored, dtype=np.int64))
-        cum = _frozen(np.asarray(self.at_or_below, dtype=np.int64))
-        total = _frozen(np.asarray(self.total, dtype=np.int64))
-        if not (values.size == exact.size == censored.size == cum.size == total.size >= 1):
-            raise ValueError("exact-tally arrays must share a positive length")
-        if values.size > 1 and not np.all(np.diff(values) > 0):
-            raise ValueError("exact-tally values must be strictly increasing")
-        if np.any(exact < 1):
-            raise ValueError("every exact-tally row needs an exact count >= 1")
-        if np.any(censored < 0) or np.any(total != exact + censored):
-            raise ValueError("total must equal exact + censored")
-        if values.size > 1 and not np.all(np.diff(cum) >= 1):
-            raise ValueError("at_or_below must be increasing across exact rows")
-        for name, a in (("values", values), ("exact", exact), ("censored", censored),
-                        ("at_or_below", cum), ("total", total)):
-            object.__setattr__(self, name, a)
-
-    @property
-    def l(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def below(self) -> np.ndarray:
-        """Count of observations strictly below each row's value."""
-        return self.at_or_below - self.total
+        Returns (values, exact, censored, at_or_below) restricted to those
+        rows; ``censored`` is then the count tied to each jump value and
+        ``at_or_below`` still counts the full sample. Raises AllCensoredError
+        when no row has an exact observation.
+        """
+        keep = self.exact >= 1
+        if not np.any(keep):
+            raise AllCensoredError(_ALL_CENSORED)
+        return (self.values[keep], self.exact[keep],
+                self.censored[keep], self.at_or_below[keep])
 
 
 _HEADER = ("value", "detected")
@@ -204,7 +177,8 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
     for anything unreadable, and AllCensoredError when no row is detected.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark spreadsheet exports put first.
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return ingest(fh)
 
     pairs: list[tuple[float, bool]] = []
@@ -239,19 +213,3 @@ def tally(dataset: Dataset) -> TallyTable:
     exact = np.bincount(inverse[detected], minlength=uniq.size)
     censored = np.bincount(inverse[~detected], minlength=uniq.size)
     return TallyTable(uniq, exact, censored, np.cumsum(exact + censored))
-
-
-def exact_tally(table: TallyTable) -> ExactTallyTable:
-    """Restrict a tally to rows with at least one exact observation."""
-    keep = table.exact >= 1
-    if not np.any(keep):
-        raise AllCensoredError(
-            "every value is censored; no distribution estimate can be proposed"
-        )
-    return ExactTallyTable(
-        table.values[keep],
-        table.exact[keep],
-        table.censored[keep],
-        table.at_or_below[keep],
-        (table.exact + table.censored)[keep],
-    )

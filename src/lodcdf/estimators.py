@@ -22,7 +22,7 @@ from typing import Literal
 
 import numpy as np
 
-from .data import AllCensoredError, ExactTallyTable, TallyTable, exact_tally
+from .data import TallyTable, _frozen
 
 __all__ = [
     "StepCdf",
@@ -44,12 +44,6 @@ __all__ = [
 LOG_PRODUCT_THRESHOLD = 1e-8
 
 LeftoverPolicy = Literal["at-first-exact", "at-zero"]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -119,12 +113,6 @@ class RhrTable:
         object.__setattr__(self, "rates", rates)
 
 
-def _exact_rows(table: TallyTable | ExactTallyTable) -> ExactTallyTable:
-    if isinstance(table, ExactTallyTable):
-        return table
-    return exact_tally(table)
-
-
 def _tail_products(factors: np.ndarray) -> tuple[np.ndarray, float]:
     """Suffix products of a factor sequence.
 
@@ -145,7 +133,17 @@ def _tail_products(factors: np.ndarray) -> tuple[np.ndarray, float]:
     return levels, float(suffix[0])
 
 
-def product_limit_cdf(table: TallyTable | ExactTallyTable) -> StepCdf:
+def _tail_sums(terms: np.ndarray) -> tuple[np.ndarray, float]:
+    """Suffix sums of a term sequence, the additive twin of _tail_products.
+
+    Returns (tail, total) with tail[k] = sum(terms[k+1:]) and
+    total = sum(terms).
+    """
+    running = np.cumsum(terms[::-1])[::-1]
+    return np.append(running[1:], 0.0), float(running[0])
+
+
+def product_limit_cdf(table: TallyTable) -> StepCdf:
     """Product-limit estimate of the CDF from a left-censored tally.
 
     At each jump value the estimate is the product, over all exact values
@@ -154,13 +152,12 @@ def product_limit_cdf(table: TallyTable | ExactTallyTable) -> StepCdf:
     first jump) includes every factor and is 0 exactly when the smallest
     distinct value is exact-only.
     """
-    rows = _exact_rows(table)
-    factors = 1.0 - rows.exact / rows.at_or_below
-    levels, lower = _tail_products(factors)
-    return StepCdf(rows.values, levels, lower, "product-limit")
+    values, exact, _, at_or_below = table.jumps()
+    levels, lower = _tail_products(1.0 - exact / at_or_below)
+    return StepCdf(values, levels, lower, "product-limit")
 
 
-def rhr_mle_cdf(table: TallyTable | ExactTallyTable) -> StepCdf:
+def rhr_mle_cdf(table: TallyTable) -> StepCdf:
     """Maximum-likelihood CDF estimate built from reversed-hazard rates.
 
     Identical in form to the product-limit estimate except that censored
@@ -169,27 +166,24 @@ def rhr_mle_cdf(table: TallyTable | ExactTallyTable) -> StepCdf:
     value are treated as sitting just above it. On tie-free samples this
     estimator and the product-limit one are the same function.
     """
-    rows = _exact_rows(table)
-    factors = 1.0 - rows.exact / (rows.at_or_below - rows.censored)
-    levels, lower = _tail_products(factors)
-    return StepCdf(rows.values, levels, lower, "rhr-mle")
+    values, exact, censored, at_or_below = table.jumps()
+    levels, lower = _tail_products(1.0 - exact / (at_or_below - censored))
+    return StepCdf(values, levels, lower, "rhr-mle")
 
 
-def crhf_exp_cdf(table: TallyTable | ExactTallyTable) -> StepCdf:
+def crhf_exp_cdf(table: TallyTable) -> StepCdf:
     """Exponentiated cumulative-reversed-hazard CDF estimate.
 
     Replaces each product-limit factor (1 - d*/y*) by exp(-d*/y*), so the
     estimate is exp(-sum of d*/y* above t): strictly positive everywhere
     and pointwise >= the product-limit estimate.
     """
-    rows = _exact_rows(table)
-    terms = rows.exact / rows.at_or_below
-    running = np.cumsum(terms[::-1])[::-1]
-    levels = np.exp(-np.append(running[1:], 0.0))
-    return StepCdf(rows.values, levels, float(np.exp(-running[0])), "crhf-exp")
+    values, exact, _, at_or_below = table.jumps()
+    tail, total = _tail_sums(exact / at_or_below)
+    return StepCdf(values, np.exp(-tail), float(np.exp(-total)), "crhf-exp")
 
 
-def greenwood_variance(table: TallyTable | ExactTallyTable, f: StepCdf) -> StepCdf:
+def greenwood_variance(table: TallyTable, f: StepCdf) -> StepCdf:
     """Greenwood-type variance for a product-limit StepCdf.
 
     var at a jump = F̂² · sum over exact values above it of d*/(y*(y*-d*)).
@@ -197,21 +191,18 @@ def greenwood_variance(table: TallyTable | ExactTallyTable, f: StepCdf) -> StepC
     nothing below) reaches only the region below the first jump, where the
     estimate itself is 0; that 0·inf case is reported as NaN ("unstable").
     """
-    rows = _exact_rows(table)
-    if f.method != "product-limit" or f.support.size != rows.values.size \
-            or not np.array_equal(f.support, rows.values):
+    values, exact, _, at_or_below = table.jumps()
+    if f.method != "product-limit" or not np.array_equal(f.support, values):
         raise ValueError("f must be the product-limit StepCdf of the same tally")
     with np.errstate(divide="ignore"):
-        terms = rows.exact / (rows.at_or_below * (rows.at_or_below - rows.exact))
-    running = np.cumsum(terms[::-1])[::-1]
-    tail = np.append(running[1:], 0.0)
+        tail, total = _tail_sums(exact / (at_or_below * (at_or_below - exact)))
     with np.errstate(invalid="ignore"):
         variances = f.values**2 * tail
-        lower_variance = f.lower_value**2 * float(running[0])
+        lower_variance = f.lower_value**2 * total
     return replace(f, variances=variances, lower_variance=lower_variance)
 
 
-def rhr_variance(table: TallyTable | ExactTallyTable, f: StepCdf) -> StepCdf:
+def rhr_variance(table: TallyTable, f: StepCdf) -> StepCdf:
     """Delta-method variance for the reversed-hazard-rate MLE StepCdf.
 
     var at a jump = F̂⁽¹⁾² · sum over exact values above it of
@@ -220,23 +211,20 @@ def rhr_variance(table: TallyTable | ExactTallyTable, f: StepCdf) -> StepCdf:
     zero and reaches only the region below the first jump; the variance
     there is defined as 0 (the estimator is degenerate at the bottom).
     """
-    rows = _exact_rows(table)
-    if f.method != "rhr-mle" or f.support.size != rows.values.size \
-            or not np.array_equal(f.support, rows.values):
+    values, exact, censored, at_or_below = table.jumps()
+    if f.method != "rhr-mle" or not np.array_equal(f.support, values):
         raise ValueError("f must be the rhr-mle StepCdf of the same tally")
-    prev_cum = np.concatenate(([0], rows.at_or_below[:-1]))
+    prev_cum = np.concatenate(([0], at_or_below[:-1]))
     with np.errstate(divide="ignore"):
-        terms = rows.exact / (prev_cum * (rows.at_or_below - rows.censored))
-    running = np.cumsum(terms[::-1])[::-1]
-    tail = np.append(running[1:], 0.0)
+        tail, _ = _tail_sums(exact / (prev_cum * (at_or_below - censored)))
     variances = f.values**2 * tail
     return replace(f, variances=variances, lower_variance=0.0)
 
 
 def rhr_table(table: TallyTable) -> RhrTable:
     """Reversed-hazard-rate MLEs r̂ = d/(y - q) at each value with d >= 1."""
-    rows = _exact_rows(table)
-    return RhrTable(rows.values, rows.exact / (rows.at_or_below - rows.censored))
+    values, exact, censored, at_or_below = table.jumps()
+    return RhrTable(values, exact / (at_or_below - censored))
 
 
 def eval_cdf(f: StepCdf, t: float) -> tuple[float, float | None]:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -97,6 +99,71 @@ def test_estimate_output_file(capsys, tmp_path):
     assert "t,estimate,variance,stderr" in out_path.read_text()
 
 
+def test_output_write_failure_keeps_existing_file(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "est.csv"
+    out_path.write_text("previous\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, out, err = run(capsys, "estimate", str(SIX), "--output", str(out_path))
+    assert code == 2
+    assert "disk full" in err
+    assert out_path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
+
+
+def test_output_follows_symlink_and_keeps_mode(capsys, tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("previous\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    code, out, _ = run(capsys, "estimate", str(SIX))
+    assert run(capsys, "estimate", str(SIX), "--output", str(link))[0] == 0
+    assert link.is_symlink()
+    assert real.read_text() == out
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_output_to_fifo_is_written_in_place(capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # A reader that is already open lets the writer open without blocking.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, _ = run(capsys, "estimate", str(SIX))
+        assert run(capsys, "estimate", str(SIX), "--output", str(fifo))[0] == 0
+        assert os.read(reader, 1 << 16).decode() == out
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_output_to_directory_exits_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for target in (".", str(tmp_path)):
+        code, out, err = run(capsys, "estimate", str(SIX), "--output", target)
+        assert code == 2, target
+        assert out == "" and err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_estimate_rejects_non_finite_eval_points(capsys):
+    for points in ("nan", "inf", "1,-inf", "nan,inf"):
+        code, out, err = run(capsys, "estimate", str(SIX), "--eval-points", points)
+        assert code == 5, points
+        assert out == ""
+        assert "--eval-points" in err
+    code, _, err = run(capsys, "simulate", "--mu", "0", "--sigma", "1",
+                       "--lods", "nan", "--m", "2")
+    assert code == 5
+    assert "--lods" in err
+
+
 # ----------------------------------------------------------------- compare
 
 
@@ -190,6 +257,20 @@ def test_sweep_csv_shape(capsys):
     assert params[0] == 0.5 and params[-1] == 4.0
 
 
+def test_sweep_takes_model_parameters_only_through_fix(capsys):
+    common = ("--grid", "sigma=0.5:1:2", "--n", "6", "--m", "3", "--seed", "1")
+    code, out, _ = run(capsys, "sweep", "--scheme", "random", "--fix", "mu_c=-1",
+                       "--fix", "sigma_c=0.5", *common)
+    assert code == 0
+    assert "mu_c=-1.0" in out and "sigma_c=0.5" in out
+    # simulate's parameter flags are refused rather than silently ignored
+    for flag in ("--mu", "--sigma", "--mu-c", "--sigma-c"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", flag, "3", *common])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 def test_sweep_rejects_bad_specs(capsys):
     bad = [
         ("sweep", "--grid", "n=1:2:2"),
@@ -198,6 +279,7 @@ def test_sweep_rejects_bad_specs(capsys):
         ("sweep", "--grid", "sigma=0.5:4:0"),
         ("sweep", "--fix", "scheme=x", "--grid", "sigma=1:2:2"),
         ("sweep", "--fix", "sigma=1", "--grid", "sigma=1:2:2"),
+        ("sweep", "--fix", "mu=1", "--fix", "mu=2", "--grid", "sigma=1:2:2"),
     ]
     for argv in bad:
         code, _, err = run(capsys, *argv, "--m", "2", "--n", "4")

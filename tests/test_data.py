@@ -10,7 +10,6 @@ from lodcdf import (
     Dataset,
     IngestError,
     Observation,
-    exact_tally,
     ingest,
     tally,
 )
@@ -66,6 +65,18 @@ def test_ingest_from_path(tmp_path):
     assert ingest(str(p)).n == 1
 
 
+def test_ingest_accepts_utf8_bom(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    p = tmp_path / "excel.csv"
+    p.write_bytes(b"\xef\xbb\xbfvalue,detected\r\n1.5,1\r\n0.5,0\r\n")
+    d = ingest(p)
+    assert d.values().tolist() == [1.5, 0.5]
+    assert d.detected().tolist() == [True, False]
+    headerless = tmp_path / "bare.csv"
+    headerless.write_bytes(b"\xef\xbb\xbf2,1\n")
+    assert ingest(headerless).values().tolist() == [2.0]
+
+
 def test_ingest_reports_line_numbers():
     with pytest.raises(IngestError) as exc:
         ingest(io.StringIO("value,detected\n1,1\n2,7\n"))
@@ -115,12 +126,12 @@ def test_tally_hand_counts():
 
 def test_exact_tally_drops_censored_only_rows():
     d = Dataset.from_pairs([(1, False), (2, True), (3, False), (4, True)])
-    rows = exact_tally(tally(d))
-    assert rows.values.tolist() == [2.0, 4.0]
-    assert rows.at_or_below.tolist() == [2, 4]
-    assert rows.total.tolist() == [1, 1]
-    assert rows.below.tolist() == [1, 3]
-    assert rows.l == 2
+    values, exact, censored, at_or_below = tally(d).jumps()
+    assert values.tolist() == [2.0, 4.0]
+    assert at_or_below.tolist() == [2, 4]
+    assert (exact + censored).tolist() == [1, 1]
+    assert (at_or_below - exact - censored).tolist() == [1, 3]
+    assert values.size == 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -140,9 +151,11 @@ def test_tally_is_a_partition(data):
     assert int(t.at_or_below[-1]) == n
     assert np.all(np.diff(t.values) > 0)
     assert np.array_equal(np.cumsum(t.exact + t.censored), t.at_or_below)
-    rows = exact_tally(t)
-    assert np.array_equal(rows.total, rows.exact + rows.censored)
-    assert np.all(rows.exact >= 1)
-    # every exact row's cumulative count matches the dataset directly
-    for v, y in zip(rows.values, rows.at_or_below):
+    values, exact, censored, at_or_below = t.jumps()
+    assert np.all(exact >= 1)
+    assert int(exact.sum()) == int(np.sum(d.detected()))
+    # every jump row's counts match the dataset directly
+    for v, e, c, y in zip(values, exact, censored, at_or_below):
+        assert int(np.sum(d.detected() & (d.values() == v))) == e
+        assert int(np.sum(~d.detected() & (d.values() == v))) == c
         assert int(np.sum(d.values() <= v)) == y

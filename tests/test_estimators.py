@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lodcdf import (
+    AllCensoredError,
     Dataset,
     StepCdf,
+    TallyTable,
     crhf_exp_cdf,
     ecdf,
     eval_cdf,
@@ -339,6 +341,15 @@ def test_step_cdf_validation():
         StepCdf(np.array([1.0]), np.array([0.5]), 0.7, "x")
     with pytest.raises(ValueError):
         StepCdf(np.array([1.0]), np.array([1.5]), 0.0, "x")
+
+
+def test_estimators_reject_a_tally_without_exact_rows():
+    # a TallyTable built directly may carry censored rows only; the
+    # estimators, not the Dataset, must then refuse it
+    table = TallyTable([1.0, 2.0], [0, 0], [1, 2], [1, 3])
+    for estimator in (product_limit_cdf, rhr_mle_cdf, crhf_exp_cdf):
+        with pytest.raises(AllCensoredError, match="every value is censored"):
+            estimator(table)
 
 
 def test_variance_requires_matching_curve():
