@@ -4,20 +4,11 @@ The package estimates the distribution of a positive quantity when some
 observations are only known to lie at or below a detection limit. It ships
 a product-limit estimator, a reversed-hazard-rate maximum-likelihood
 estimator, an exponentiated cumulative-reversed-hazard estimator, variance
-formulas for the first two, substitution baselines, an independent
-Kaplan-Meier-on-negated-data oracle, and a Monte Carlo engine comparing
-the estimators on simulated log-normal data.
+formulas for the first two, substitution baselines, and a Monte Carlo
+engine comparing the estimators on simulated log-normal data.
 """
 
-from .baselines import (
-    KmCurve,
-    SubstitutionStrategy,
-    ecdf,
-    km_negation_oracle,
-    km_survival,
-    perturb_censored_ties,
-    substitution_mean,
-)
+from .baselines import SubstitutionStrategy, ecdf, substitution_mean
 from .data import (
     AllCensoredError,
     Dataset,
@@ -62,7 +53,6 @@ __all__ = [
     "Dataset",
     "IngestError",
     "InvalidParameterError",
-    "KmCurve",
     "LeftoverPolicy",
     "Observation",
     "RhrTable",
@@ -79,11 +69,8 @@ __all__ = [
     "eval_cdf",
     "greenwood_variance",
     "ingest",
-    "km_negation_oracle",
-    "km_survival",
     "ks_distance",
     "mean_from_cdf",
-    "perturb_censored_ties",
     "product_limit_cdf",
     "quantile_from_cdf",
     "rhr_mle_cdf",

@@ -44,6 +44,7 @@ from .estimators import (
     rhr_variance,
 )
 from .simulation import (
+    _MAX_GRID_POINT,
     InvalidParameterError,
     SimConfig,
     StudyDegenerateError,
@@ -344,6 +345,8 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
         raise InvalidParameterError(f"--grid expects numeric START:STOP and integer COUNT, got {text!r}")
     if count < 1:
         raise InvalidParameterError(f"--grid COUNT must be at least 1, got {count}")
+    if count > _MAX_GRID_POINT:
+        raise InvalidParameterError(f"--grid COUNT is limited to {_MAX_GRID_POINT}, got {count}")
     return name, np.linspace(start, stop, count)
 
 
@@ -363,8 +366,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError:
             raise InvalidParameterError(f"--fix expects a numeric value, got {item!r}")
     param, grid = _parse_grid(args.grid)
-    if param not in ("mu", "sigma"):
-        raise InvalidParameterError(f"--grid accepts mu or sigma, got {param!r}")
     if param in fixed:
         raise InvalidParameterError(f"{param} cannot be both fixed and swept")
     # The swept parameter needs a placeholder value so the base config

@@ -24,8 +24,11 @@ recipe can be replayed in another language (statistically, not bit-exactly).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -226,51 +229,40 @@ def _replicate(cfg: SimConfig, grid_point: int, rep: int) -> tuple[float, float]
     return ks_distance(f_pl, cfg.mu, cfg.sigma), ks_distance(f_rhr, cfg.mu, cfg.sigma)
 
 
-def _chunk(cfg: SimConfig, grid_point: int, start: int, stop: int) -> list[tuple[int, float, float] | tuple[int, None, None]]:
-    out = []
-    for rep in range(start, stop):
-        pair = _replicate(cfg, grid_point, rep)
-        if pair is None:
-            out.append((rep, None, None))
-        else:
-            out.append((rep, pair[0], pair[1]))
-    return out
+def _studies(points: list[tuple[int, SimConfig]], jobs: int) -> list[StudyResult]:
+    """Run one study per (grid_point, cfg), all through one worker pool.
 
-
-def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyResult:
-    """Run all m replications of a study configuration.
-
-    Replications are independent; with jobs > 1 they are farmed out in
-    contiguous chunks and reassembled by replication index, so the result
-    does not depend on the worker count. Raises StudyDegenerateError when
-    every replication is fully censored.
+    Replications are independent and come back in replication order from
+    either map, so the result does not depend on the worker count. Workers
+    are capped at the CPU count and the largest m. Raises
+    StudyDegenerateError when every replication of a study is fully
+    censored.
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
-    rows: list[tuple] = []
-    if jobs == 1 or cfg.m == 1:
-        rows = _chunk(cfg, grid_point, 0, cfg.m)
-    else:
-        jobs = min(jobs, cfg.m)
-        bounds = np.linspace(0, cfg.m, jobs + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_chunk, cfg, grid_point, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-            for fut in futures:
-                rows.extend(fut.result())
-    rows.sort(key=lambda r: r[0])
-    kept = [(rep, a, b) for rep, a, b in rows if a is not None]
-    n_degenerate = cfg.m - len(kept)
-    if not kept:
-        raise StudyDegenerateError(
-            f"all {cfg.m} replications were fully censored; no estimator is defined"
-        )
-    indices = np.array([r[0] for r in kept], dtype=np.int64)
-    kpl = np.array([r[1] for r in kept], dtype=np.float64)
-    krh = np.array([r[2] for r in kept], dtype=np.float64)
-    return StudyResult(cfg, indices, kpl, krh, n_degenerate, grid_point=grid_point)
+    workers = min(jobs, os.cpu_count() or 1, max(cfg.m for _, cfg in points))
+    results = []
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for grid_point, cfg in points:
+            replicate = partial(_replicate, cfg, grid_point)
+            reps = range(cfg.m)
+            if pool is None:
+                pairs = map(replicate, reps)
+            else:
+                pairs = pool.map(replicate, reps, chunksize=math.ceil(cfg.m / workers))
+            kept = [(rep, *pair) for rep, pair in enumerate(pairs) if pair is not None]
+            if not kept:
+                raise StudyDegenerateError(
+                    f"all {cfg.m} replications were fully censored; no estimator is defined"
+                )
+            indices, kpl, krh = zip(*kept)
+            results.append(StudyResult(cfg, indices, kpl, krh, cfg.m - len(kept), grid_point=grid_point))
+    return results
+
+
+def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyResult:
+    """Run all m replications of a study configuration on up to ``jobs`` workers."""
+    return _studies([(grid_point, cfg)], jobs)[0]
 
 
 def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResult]:
@@ -287,8 +279,5 @@ def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResu
     if len(values) > _MAX_GRID_POINT:
         raise InvalidParameterError(f"sweep grid is limited to {_MAX_GRID_POINT} points")
     values.sort()
-    results = []
-    for position, value in enumerate(values):
-        cfg = replace(base, **{param: value})
-        results.append(run_study(cfg, grid_point=position, jobs=jobs))
-    return results
+    points = [(position, replace(base, **{param: value})) for position, value in enumerate(values)]
+    return _studies(points, jobs)

@@ -1,16 +1,28 @@
-"""Exact-arithmetic reference implementations used only by the tests.
+"""Reference implementations used only by the tests.
 
-Everything here works in `fractions.Fraction` over a plain tally of
-(value, detected) pairs, deliberately sharing no code with the package:
-an independent route to the same numbers. Values are converted to
-Fraction exactly (binary floats are rationals), so the only approximation
-anywhere is the final comparison against the float implementation.
+The exact-arithmetic oracles work in `fractions.Fraction` over a plain
+tally of (value, detected) pairs, deliberately sharing no code with the
+package: an independent route to the same numbers. Values are converted
+to Fraction exactly (binary floats are rationals), so the only
+approximation anywhere is the final comparison against the float
+implementation.
+
+The Kaplan-Meier oracles at the end reach the product-limit estimate
+through right-censored survival analysis on the negated sample (the
+reverse Kaplan-Meier of Gillespie et al. 2010). They use the package's
+`Dataset` and `StepCdf` only as containers: reading values and flags in,
+and handing a step function back; no tally or estimator code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+
+from lodcdf import Dataset, StepCdf
 
 
 @dataclass(frozen=True)
@@ -160,3 +172,61 @@ def curvature(row: OracleRow) -> Fraction:
     """Closed-form second derivative of that coordinate at its maximizer."""
     a = row.y - row.q
     return -Fraction(a**3, row.d * (row.y - row.d - row.q))
+
+
+def km_survival(times: np.ndarray, events: np.ndarray) -> SimpleNamespace:
+    """Kaplan-Meier survival from right-censored data, as ``.times`` (the
+    distinct event times) and ``.survival`` (the curve after each).
+
+    Ties between events and censorings are resolved events-first: an
+    observation censored exactly at an event time still counts as at risk
+    there (equivalently, its censoring happens just after the events).
+    """
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=bool)
+    if times.size != events.size or times.size == 0:
+        raise ValueError("times and events must share a positive length")
+    event_times, deaths = np.unique(times[events], return_counts=True)
+    if event_times.size == 0:
+        raise ValueError("no events: survival curve has no steps")
+    # at risk at u: everything with time >= u, censored-at-u included
+    at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
+    return SimpleNamespace(times=event_times, survival=np.cumprod(1.0 - deaths / at_risk))
+
+
+def km_negation_oracle(dataset: Dataset) -> StepCdf:
+    """Product-limit CDF obtained via Kaplan-Meier on the negated sample.
+
+    Negating a left-censored sample turns it into a right-censored one with
+    the detection flags as event indicators; the survival estimate just
+    below -t, read back, is a CDF estimate for the original sample. With
+    the events-first tie rule this reproduces the product-limit estimator
+    factor for factor.
+    """
+    curve = km_survival(-dataset.values(), dataset.detected())
+    # curve.times ascending in negated time = descending original values
+    support = -curve.times[::-1]
+    before = np.concatenate(([1.0], curve.survival[:-1]))
+    return StepCdf(support, before[::-1], float(curve.survival[-1]), "km-negation")
+
+
+def perturb_censored_ties(dataset: Dataset, epsilon: float | None = None) -> Dataset:
+    """Move censored values tied to an exact value up by epsilon.
+
+    A censored bound sitting just above the exact value drops out of that
+    value's at-or-below count, which is precisely how the reversed-hazard
+    MLE treats such ties. epsilon defaults to half the smallest gap between
+    distinct values so no new coincidence can be created.
+    """
+    values = dataset.values()
+    detected = dataset.detected()
+    if epsilon is None:
+        distinct = np.unique(values)
+        if distinct.size > 1:
+            epsilon = float(np.min(np.diff(distinct))) / 2.0
+        else:
+            epsilon = max(1.0, float(distinct[0])) / 2.0
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    tied = ~detected & np.isin(values, values[detected])
+    return Dataset.from_arrays(np.where(tied, values + epsilon, values), detected)

@@ -21,8 +21,6 @@ from lodcdf import (
     crhf_exp_cdf,
     ecdf,
     greenwood_variance,
-    km_negation_oracle,
-    perturb_censored_ties,
     product_limit_cdf,
     rhr_mle_cdf,
     rhr_table,
@@ -32,6 +30,7 @@ from lodcdf import (
 )
 from lodcdf.cli import main
 
+from _oracles import km_negation_oracle, perturb_censored_ties
 from conftest import FIXTURES, make_grid_dataset, make_tie_free_dataset, make_tied_dataset
 from _golden import assert_matches_golden, compute_table
 

@@ -9,15 +9,13 @@ from lodcdf import (
     Dataset,
     SubstitutionStrategy,
     ecdf,
-    km_negation_oracle,
-    km_survival,
-    perturb_censored_ties,
     product_limit_cdf,
     rhr_mle_cdf,
     substitution_mean,
     tally,
 )
 
+from _oracles import km_negation_oracle, km_survival, perturb_censored_ties
 from test_estimators import SIX, pair_lists
 
 

@@ -5,11 +5,24 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lodcdf import (
+    Dataset,
+    crhf_exp_cdf,
+    greenwood_variance,
+    product_limit_cdf,
+    rhr_mle_cdf,
+    rhr_variance,
+    tally,
+)
 from lodcdf.cli import main
 
 from conftest import FIXTURES
+from test_estimators import pair_lists
 
 SIX = FIXTURES / "six_obs.csv"
 
@@ -74,6 +87,41 @@ def test_estimate_json(capsys):
     assert math.isclose(pl["lower_value"], 2 / 9, rel_tol=1e-12)
     assert math.isclose(pl["values"][0], 4 / 9, rel_tol=1e-12)
     assert len(doc["eval"]) == 2
+
+
+def _nan_for_null(x):
+    return np.nan if x is None else x
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_lists(), st.floats(1e-3, 1e3))
+def test_estimate_json_round_trips_to_the_fit(tmp_path_factory, pairs, scale):
+    """Every number of ``estimate --format json`` reads back exactly as the
+    in-memory fit, with null standing for NaN."""
+    pairs = [(v * scale, flag) for v, flag in pairs]
+    workdir = tmp_path_factory.mktemp("roundtrip")
+    data, out = workdir / "data.csv", workdir / "fit.json"
+    data.write_text("value,detected\n" + "".join(f"{v!r},{int(flag)}\n" for v, flag in pairs))
+    table = tally(Dataset.from_pairs(pairs))
+    fits = {
+        "product-limit": greenwood_variance(table, product_limit_cdf(table)),
+        "rhr-mle": rhr_variance(table, rhr_mle_cdf(table)),
+        "crhf-exp": crhf_exp_cdf(table),
+    }
+    for method, fit in fits.items():
+        assert main(["estimate", str(data), "--method", method, "--format", "json",
+                     "--output", str(out)]) == 0
+        (doc,) = json.loads(out.read_text())["estimates"]
+        assert np.array_equal(doc["support"], fit.support)
+        assert np.array_equal(doc["values"], fit.values)
+        assert doc["lower_value"] == fit.lower_value
+        assert np.array_equal(_nan_for_null(doc["lower_variance"]), _nan_for_null(fit.lower_variance),
+                              equal_nan=True)
+        if fit.variances is None:
+            assert "variances" not in doc
+        else:
+            variances = [_nan_for_null(v) for v in doc["variances"]]
+            assert np.array_equal(variances, fit.variances, equal_nan=True)
 
 
 def test_estimate_unstable_variance_rendering(capsys, tmp_path):
@@ -277,6 +325,7 @@ def test_sweep_rejects_bad_specs(capsys):
         ("sweep", "--grid", "sigma=0.5:4"),
         ("sweep", "--grid", "sigma=a:b:3"),
         ("sweep", "--grid", "sigma=0.5:4:0"),
+        ("sweep", "--grid", "sigma=0.5:1:1000000000000"),
         ("sweep", "--fix", "scheme=x", "--grid", "sigma=1:2:2"),
         ("sweep", "--fix", "sigma=1", "--grid", "sigma=1:2:2"),
         ("sweep", "--fix", "mu=1", "--fix", "mu=2", "--grid", "sigma=1:2:2"),
