@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=50, help="sample size per replication")
     parser.add_argument("--m", type=int, default=1000, help="replications per grid point")
     parser.add_argument("--seed", type=int, default=0, help="study seed")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=int, default=1, help="passed to sweep --jobs, accepted for compatibility (no effect on output)")
     args = parser.parse_args(argv)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)

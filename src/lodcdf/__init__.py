@@ -20,7 +20,6 @@ from .data import (
 )
 from .estimators import (
     LeftoverPolicy,
-    RhrTable,
     StepCdf,
     crhf_exp_cdf,
     eval_cdf,
@@ -29,7 +28,6 @@ from .estimators import (
     product_limit_cdf,
     quantile_from_cdf,
     rhr_mle_cdf,
-    rhr_table,
     rhr_variance,
 )
 from .simulation import (
@@ -55,7 +53,6 @@ __all__ = [
     "InvalidParameterError",
     "LeftoverPolicy",
     "Observation",
-    "RhrTable",
     "SimConfig",
     "StepCdf",
     "StudyDegenerateError",
@@ -74,7 +71,6 @@ __all__ = [
     "product_limit_cdf",
     "quantile_from_cdf",
     "rhr_mle_cdf",
-    "rhr_table",
     "rhr_variance",
     "run_study",
     "sample_lognormal",

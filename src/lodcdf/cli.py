@@ -395,7 +395,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=50, help="sample size per replication")
     p.add_argument("--m", type=int, default=None, help="replication count (default 1000)")
     p.add_argument("--seed", type=int, default=None, help="study seed (default: LODCDF_SEED or 0)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (same output for any value)")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; studies run in one process (same output for any value)")
     p.add_argument("--output", default=None, help="write here instead of stdout")
 
 

@@ -26,13 +26,11 @@ from .data import TallyTable, _frozen
 
 __all__ = [
     "StepCdf",
-    "RhrTable",
     "product_limit_cdf",
     "rhr_mle_cdf",
     "crhf_exp_cdf",
     "greenwood_variance",
     "rhr_variance",
-    "rhr_table",
     "eval_cdf",
     "mean_from_cdf",
     "quantile_from_cdf",
@@ -93,24 +91,6 @@ class StepCdf:
     @property
     def jump_count(self) -> int:
         return int(self.support.size)
-
-
-@dataclass(frozen=True)
-class RhrTable:
-    """Reversed-hazard-rate estimates r̂ at every distinct value with an exact count."""
-
-    values: np.ndarray
-    rates: np.ndarray
-
-    def __post_init__(self):
-        values = _frozen(np.asarray(self.values, dtype=np.float64))
-        rates = _frozen(np.asarray(self.rates, dtype=np.float64))
-        if values.size != rates.size or values.size == 0:
-            raise ValueError("values and rates must share a positive length")
-        if np.any(rates <= 0) or np.any(rates > 1):
-            raise ValueError("each rate must lie in (0, 1]")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "rates", rates)
 
 
 def _tail_products(factors: np.ndarray) -> tuple[np.ndarray, float]:
@@ -219,12 +199,6 @@ def rhr_variance(table: TallyTable, f: StepCdf) -> StepCdf:
         tail, _ = _tail_sums(exact / (prev_cum * (at_or_below - censored)))
     variances = f.values**2 * tail
     return replace(f, variances=variances, lower_variance=0.0)
-
-
-def rhr_table(table: TallyTable) -> RhrTable:
-    """Reversed-hazard-rate MLEs r̂ = d/(y - q) at each value with d >= 1."""
-    values, exact, censored, at_or_below = table.jumps()
-    return RhrTable(values, exact / (at_or_below - censored))
 
 
 def eval_cdf(f: StepCdf, t: float) -> tuple[float, float | None]:

@@ -15,26 +15,30 @@ minus RHR-MLE).
 
 Reproducibility contract: every replication owns two counter-based Philox
 substreams (lifetime draws and censoring draws), keyed by
-(seed, grid_point, replication, purpose). Results are therefore identical
-across runs and across worker counts. Normal variates come from the
-inverse CDF applied to centered 53-bit uniforms, so the documented
-recipe can be replayed in another language (statistically, not bit-exactly).
+(seed, grid_point, replication, purpose); ``substream`` is the recipe.
+Normal variates come from the inverse CDF applied to centered 53-bit
+uniforms, so the recipe can be replayed in another language
+(statistically, not bit-exactly).
+
+The study engine runs the replications in chunks of rows, one row per
+replication, in one process. It resets a single Philox to each
+replication's substream state, transforms and censors the whole chunk at
+once, and computes both estimators and their distances row-wise with the
+same arithmetic as ``tally``, ``product_limit_cdf``, ``rhr_mle_cdf`` and
+``ks_distance``. Its results are therefore bit-identical to fitting each
+replication on its own, and identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import AllCensoredError, Dataset, tally
-from .estimators import StepCdf, product_limit_cdf, rhr_mle_cdf
+from .data import Dataset
+from .estimators import LOG_PRODUCT_THRESHOLD, StepCdf
 
 # Purpose slots inside a replication's key space.
 LIFETIME_DRAWS = 0
@@ -43,6 +47,10 @@ CENSORING_DRAWS = 1
 _MAX_SEED = 1 << 64
 _MAX_REPLICATION = 1 << 44
 _MAX_GRID_POINT = 1 << 16
+
+# Cells (replications x sample size) per chunk of the study engine; a
+# chunk holds at least one replication.
+_CHUNK_CELLS = 4096
 
 
 class InvalidParameterError(ValueError):
@@ -53,12 +61,13 @@ class StudyDegenerateError(RuntimeError):
     """Every replication of a study came out fully censored."""
 
 
-def substream(seed: int, replication: int, purpose: int, grid_point: int = 0) -> np.random.Generator:
-    """Independent generator for one (replication, purpose) cell of a study.
+def _key(seed: int, replication: int, purpose: int, grid_point: int) -> int:
+    """The 128-bit Philox key of one (replication, purpose) cell.
 
-    The Philox key packs (seed, grid_point, replication, purpose) into
-    disjoint bit ranges, so distinct cells can never collide and any cell
-    can be regenerated in isolation.
+    The key packs (seed, grid_point, replication, purpose) into disjoint
+    bit ranges, so distinct cells can never collide: the seed is the high
+    64-bit word and (grid_point << 48) | (replication << 4) | purpose the
+    low one.
     """
     seed = int(seed)
     replication = int(replication)
@@ -72,21 +81,33 @@ def substream(seed: int, replication: int, purpose: int, grid_point: int = 0) ->
         raise InvalidParameterError(f"purpose must lie in [0, 16), got {purpose}")
     if not 0 <= grid_point < _MAX_GRID_POINT:
         raise InvalidParameterError(f"grid point index out of range: {grid_point}")
-    key = (seed << 64) | (grid_point << 48) | (replication << 4) | purpose
-    return np.random.Generator(np.random.Philox(key=key))
+    return (seed << 64) | (grid_point << 48) | (replication << 4) | purpose
+
+
+def substream(seed: int, replication: int, purpose: int, grid_point: int = 0) -> np.random.Generator:
+    """Independent generator for one (replication, purpose) cell of a study.
+
+    Any cell can be regenerated in isolation: this is the generator whose
+    draws the study engine uses for that cell.
+    """
+    return np.random.Generator(np.random.Philox(key=_key(seed, replication, purpose, grid_point)))
+
+
+def _lognormal(mu: float, sigma: float, k: np.ndarray) -> np.ndarray:
+    """Log-normal(mu, sigma) values of 53-bit integers k, elementwise.
+
+    Uniforms are (k + 1/2) / 2^53, which keeps the quantile function away
+    from both endpoints.
+    """
+    u = (k.astype(np.float64) + 0.5) / float(1 << 53)
+    return np.exp(mu + sigma * ndtri(u))
 
 
 def sample_lognormal(mu: float, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n log-normal(mu, sigma) draws via the inverse normal CDF.
-
-    Uniforms are (k + 1/2) / 2^53 for a 53-bit integer k, which keeps the
-    quantile function away from both endpoints.
-    """
+    """n log-normal(mu, sigma) draws via the inverse normal CDF."""
     if sigma <= 0:
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    k = rng.integers(0, 1 << 53, size=int(n), dtype=np.int64)
-    u = (k.astype(np.float64) + 0.5) / float(1 << 53)
-    return np.exp(mu + sigma * ndtri(u))
+    return _lognormal(mu, sigma, rng.integers(0, 1 << 53, size=int(n), dtype=np.int64))
 
 
 def apply_time_censoring(lifetimes: np.ndarray, lods: tuple[float, ...], rng: np.random.Generator) -> Dataset:
@@ -211,58 +232,130 @@ class StudyResult:
         return float(np.std(self.diffs, ddof=1) / math.sqrt(self.n_pairs))
 
 
-def _replicate(cfg: SimConfig, grid_point: int, rep: int) -> tuple[float, float] | None:
-    """One replication; None when the sample comes out fully censored."""
-    rng_t = substream(cfg.seed, rep, LIFETIME_DRAWS, grid_point)
-    rng_c = substream(cfg.seed, rep, CENSORING_DRAWS, grid_point)
-    lifetimes = sample_lognormal(cfg.mu, cfg.sigma, cfg.n, rng_t)
-    try:
-        if cfg.scheme == "time":
-            dataset = apply_time_censoring(lifetimes, cfg.lods, rng_c)
-        else:
-            dataset = apply_random_censoring(lifetimes, cfg.mu_c, cfg.sigma_c, rng_c)
-    except AllCensoredError:
-        return None
-    table = tally(dataset)
-    f_pl = product_limit_cdf(table)
-    f_rhr = rhr_mle_cdf(table)
-    return ks_distance(f_pl, cfg.mu, cfg.sigma), ks_distance(f_rhr, cfg.mu, cfg.sigma)
+def _draw_rows(rng: np.random.Generator, seed: int, grid_point: int, reps: range,
+               purpose: int, draw) -> np.ndarray:
+    """One row per replication: ``draw(substream(seed, rep, purpose, grid_point))``.
 
-
-def _studies(points: list[tuple[int, SimConfig]], jobs: int) -> list[StudyResult]:
-    """Run one study per (grid_point, cfg), all through one worker pool.
-
-    Replications are independent and come back in replication order from
-    either map, so the result does not depend on the worker count. Workers
-    are capped at the CPU count and the largest m. Raises
-    StudyDegenerateError when every replication of a study is fully
-    censored.
+    Instead of building a generator per cell, the state of ``rng``'s Philox
+    is reset to what a fresh ``Philox(key=...)`` holds: counter zero, the
+    cell's key words, an empty buffer and no cached 32-bit half.
     """
+    fresh = np.random.Philox(key=0).state
+    words = fresh["state"]["key"]
+    rows = []
+    for rep in reps:
+        key = _key(seed, rep, purpose, grid_point)
+        words[:] = (key & (_MAX_SEED - 1), key >> 64)
+        rng.bit_generator.state = fresh
+        rows.append(draw(rng))
+    return np.stack(rows)
+
+
+def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both estimators' KS distances for each row of a (rows, n) sample.
+
+    Returns (product-limit, RHR-MLE, has_jump). Each row gets the value
+    that ``tally``, ``product_limit_cdf``/``rhr_mle_cdf`` and
+    ``ks_distance`` give it, bit for bit: the per-value counts d, q and y
+    are formed as in ``TallyTable.jumps()``, the factors use the same
+    expressions, and the suffix products run over the same factors in the
+    same order, with exact factors of 1.0 at positions that are not jumps.
+    A row without a detected value has no jump (has_jump False, distances
+    0).
+    """
+    rows, n = values.shape
+    # Every nonzero factor is at least about 1/n, so _tail_products would
+    # never take its log-space branch: a plain cumprod is what it computes.
+    assert n < 1 / LOG_PRODUCT_THRESHOLD
+    order = np.argsort(values, axis=1, kind="stable")
+    v = np.take_along_axis(values, order, axis=1)
+    exact_cum = np.cumsum(np.take_along_axis(detected, order, axis=1), axis=1)
+    at_or_below = np.broadcast_to(np.arange(1, n + 1), (rows, n))
+    # The last position of each distinct value carries that value's counts.
+    last = np.ones((rows, n), dtype=bool)
+    last[:, :-1] = v[:, 1:] != v[:, :-1]
+    prev_exact = np.zeros_like(exact_cum)
+    prev_exact[:, 1:] = np.maximum.accumulate(np.where(last, exact_cum, 0), axis=1)[:, :-1]
+    prev_total = np.zeros_like(exact_cum)
+    prev_total[:, 1:] = np.maximum.accumulate(np.where(last, at_or_below, 0), axis=1)[:, :-1]
+    jump = last & (exact_cum > prev_exact)
+    d = (exact_cum - prev_exact)[jump]
+    y = at_or_below[jump]
+    q = y - prev_total[jump] - d
+    with np.errstate(divide="ignore"):
+        truth = ndtr((np.log(v[jump]) - mu) / sigma)
+    out = []
+    for factors in (1.0 - d / y, 1.0 - d / (y - q)):
+        full = np.ones((rows, n))
+        full[jump] = factors
+        suffix = np.cumprod(full[:, ::-1], axis=1)[:, ::-1]
+        levels = np.ones((rows, n))
+        levels[:, :-1] = suffix[:, 1:]
+        gaps = np.zeros((rows, n))
+        gaps[jump] = np.abs(truth - levels[jump])
+        out.append(gaps.max(axis=1))
+    return out[0], out[1], jump.any(axis=1)
+
+
+def _chunk(cfg: SimConfig, grid_point: int, reps: range
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replications ``reps`` of a study as rows: (KS product-limit, KS RHR-MLE, kept)."""
+    rng = np.random.Generator(np.random.Philox(key=0))
+
+    def draws(purpose, high):
+        return _draw_rows(rng, cfg.seed, grid_point, reps, purpose,
+                          lambda r: r.integers(0, high, size=cfg.n, dtype=np.int64))
+
+    # Overflow is reported below, naming the parameters, not warned about.
+    with np.errstate(over="ignore"):
+        lifetimes = _lognormal(cfg.mu, cfg.sigma, draws(LIFETIME_DRAWS, 1 << 53))
+    if not np.all(np.isfinite(lifetimes)):
+        raise InvalidParameterError(
+            f"lifetime draws overflow to infinity at mu={cfg.mu!r}, sigma={cfg.sigma!r}")
+    if cfg.scheme == "time":
+        lods = np.asarray(cfg.lods, dtype=np.float64)
+        thresholds = lods[draws(CENSORING_DRAWS, lods.size)]
+    else:
+        with np.errstate(over="ignore"):
+            thresholds = _lognormal(cfg.mu_c, cfg.sigma_c, draws(CENSORING_DRAWS, 1 << 53))
+        if not np.all(np.isfinite(thresholds)):
+            raise InvalidParameterError(
+                f"censoring threshold draws overflow to infinity at "
+                f"mu_c={cfg.mu_c!r}, sigma_c={cfg.sigma_c!r}")
+    return _ks_rows(np.maximum(lifetimes, thresholds), lifetimes >= thresholds, cfg.mu, cfg.sigma)
+
+
+def _study(grid_point: int, cfg: SimConfig) -> StudyResult:
+    """All m replications of one study, in chunks of _CHUNK_CELLS // n rows (at least one).
+
+    Raises StudyDegenerateError when every replication is fully censored.
+    """
+    step = max(1, _CHUNK_CELLS // cfg.n)
+    chunks = [_chunk(cfg, grid_point, range(start, min(start + step, cfg.m)))
+              for start in range(0, cfg.m, step)]
+    kpl, krh, kept = (np.concatenate(parts) for parts in zip(*chunks))
+    if not np.any(kept):
+        raise StudyDegenerateError(
+            f"all {cfg.m} replications were fully censored; no estimator is defined"
+        )
+    indices = np.flatnonzero(kept)
+    return StudyResult(cfg, indices, kpl[kept], krh[kept], cfg.m - indices.size, grid_point=grid_point)
+
+
+def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1, max(cfg.m for _, cfg in points))
-    results = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for grid_point, cfg in points:
-            replicate = partial(_replicate, cfg, grid_point)
-            reps = range(cfg.m)
-            if pool is None:
-                pairs = map(replicate, reps)
-            else:
-                pairs = pool.map(replicate, reps, chunksize=math.ceil(cfg.m / workers))
-            kept = [(rep, *pair) for rep, pair in enumerate(pairs) if pair is not None]
-            if not kept:
-                raise StudyDegenerateError(
-                    f"all {cfg.m} replications were fully censored; no estimator is defined"
-                )
-            indices, kpl, krh = zip(*kept)
-            results.append(StudyResult(cfg, indices, kpl, krh, cfg.m - len(kept), grid_point=grid_point))
-    return results
 
 
 def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyResult:
-    """Run all m replications of a study configuration on up to ``jobs`` workers."""
-    return _studies([(grid_point, cfg)], jobs)[0]
+    """Run all m replications of a study configuration.
+
+    ``jobs`` must be at least 1; it is accepted for compatibility and the
+    result is the same for any value.
+    """
+    _check_jobs(jobs)
+    return _study(grid_point, cfg)
 
 
 def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResult]:
@@ -279,5 +372,5 @@ def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResu
     if len(values) > _MAX_GRID_POINT:
         raise InvalidParameterError(f"sweep grid is limited to {_MAX_GRID_POINT} points")
     values.sort()
-    points = [(position, replace(base, **{param: value})) for position, value in enumerate(values)]
-    return _studies(points, jobs)
+    _check_jobs(jobs)
+    return [_study(position, replace(base, **{param: value})) for position, value in enumerate(values)]

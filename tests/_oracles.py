@@ -12,6 +12,12 @@ through right-censored survival analysis on the negated sample (the
 reverse Kaplan-Meier of Gillespie et al. 2010). They use the package's
 `Dataset` and `StepCdf` only as containers: reading values and flags in,
 and handing a step function back; no tally or estimator code.
+
+The last two are float references built from the package's own parts:
+`rhr_table` reads the reversed-hazard rates off `TallyTable.jumps()`, and
+`_replicate` runs one simulation replication the scalar way (one
+`Dataset`, one `tally`, two estimators, two `ks_distance` calls), the
+reference the batched study engine must match bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,22 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from lodcdf import Dataset, StepCdf
+from lodcdf import (
+    AllCensoredError,
+    Dataset,
+    SimConfig,
+    StepCdf,
+    TallyTable,
+    apply_random_censoring,
+    apply_time_censoring,
+    ks_distance,
+    product_limit_cdf,
+    rhr_mle_cdf,
+    sample_lognormal,
+    substream,
+    tally,
+)
+from lodcdf.simulation import CENSORING_DRAWS, LIFETIME_DRAWS
 
 
 @dataclass(frozen=True)
@@ -230,3 +251,45 @@ def perturb_censored_ties(dataset: Dataset, epsilon: float | None = None) -> Dat
         raise ValueError("epsilon must be positive")
     tied = ~detected & np.isin(values, values[detected])
     return Dataset.from_arrays(np.where(tied, values + epsilon, values), detected)
+
+
+@dataclass(frozen=True)
+class RhrTable:
+    """Reversed-hazard-rate estimates r̂ at every distinct value with an exact count."""
+
+    values: np.ndarray
+    rates: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        rates = np.asarray(self.rates, dtype=np.float64)
+        if values.size != rates.size or values.size == 0:
+            raise ValueError("values and rates must share a positive length")
+        if np.any(rates <= 0) or np.any(rates > 1):
+            raise ValueError("each rate must lie in (0, 1]")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rates", rates)
+
+
+def rhr_table(table: TallyTable) -> RhrTable:
+    """Reversed-hazard-rate MLEs r̂ = d/(y - q) at each value with d >= 1."""
+    values, exact, censored, at_or_below = table.jumps()
+    return RhrTable(values, exact / (at_or_below - censored))
+
+
+def _replicate(cfg: SimConfig, grid_point: int, rep: int) -> tuple[float, float] | None:
+    """One replication; None when the sample comes out fully censored."""
+    rng_t = substream(cfg.seed, rep, LIFETIME_DRAWS, grid_point)
+    rng_c = substream(cfg.seed, rep, CENSORING_DRAWS, grid_point)
+    lifetimes = sample_lognormal(cfg.mu, cfg.sigma, cfg.n, rng_t)
+    try:
+        if cfg.scheme == "time":
+            dataset = apply_time_censoring(lifetimes, cfg.lods, rng_c)
+        else:
+            dataset = apply_random_censoring(lifetimes, cfg.mu_c, cfg.sigma_c, rng_c)
+    except AllCensoredError:
+        return None
+    table = tally(dataset)
+    f_pl = product_limit_cdf(table)
+    f_rhr = rhr_mle_cdf(table)
+    return ks_distance(f_pl, cfg.mu, cfg.sigma), ks_distance(f_rhr, cfg.mu, cfg.sigma)

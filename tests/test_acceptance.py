@@ -23,14 +23,13 @@ from lodcdf import (
     greenwood_variance,
     product_limit_cdf,
     rhr_mle_cdf,
-    rhr_table,
     rhr_variance,
     run_study,
     tally,
 )
 from lodcdf.cli import main
 
-from _oracles import km_negation_oracle, perturb_censored_ties
+from _oracles import km_negation_oracle, perturb_censored_ties, rhr_table
 from conftest import FIXTURES, make_grid_dataset, make_tie_free_dataset, make_tied_dataset
 from _golden import assert_matches_golden, compute_table
 

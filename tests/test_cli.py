@@ -368,6 +368,20 @@ def test_invalid_sim_parameters_exit_5(capsys):
     assert code == 5
 
 
+def test_overflowing_draws_exit_5_naming_the_parameters(capsys):
+    """Lifetimes or thresholds that overflow to infinity are a parameter
+    error, not a traceback from building the sample."""
+    for argv, names in [
+        (["--mu", "800", "--sigma", "1"], ("mu=800", "sigma=1")),
+        (["--mu", "0", "--sigma", "1e308"], ("mu=0", "sigma=1e+308")),
+        (["--mu", "0", "--sigma", "1", "--scheme", "random", "--mu-c", "800"], ("mu_c=800", "sigma_c=1")),
+    ]:
+        code, out, err = run(capsys, "simulate", *argv, "--m", "3")
+        assert code == 5
+        assert out == ""
+        assert all(name in err for name in names), err
+
+
 def test_all_degenerate_study_exits_6(capsys):
     code, _, err = run(capsys, "simulate", "--mu", "0", "--sigma", "1",
                        "--lods", "1e300", "--n", "2", "--m", "3", "--seed", "0")

@@ -19,13 +19,13 @@ from lodcdf import (
     product_limit_cdf,
     quantile_from_cdf,
     rhr_mle_cdf,
-    rhr_table,
     rhr_variance,
     tally,
 )
 from lodcdf.estimators import _tail_products
 
 import _oracles as oracle
+from _oracles import rhr_table
 
 SIX = [(1, False), (1, True), (2, True), (3, False), (3, True), (4, True)]
 

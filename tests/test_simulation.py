@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -21,8 +20,9 @@ from lodcdf import (
     sweep,
     tally,
 )
-from lodcdf import simulation
-from lodcdf.simulation import CENSORING_DRAWS, LIFETIME_DRAWS, _replicate
+from lodcdf.simulation import CENSORING_DRAWS, LIFETIME_DRAWS
+
+from _oracles import _replicate
 
 
 # ------------------------------------------------------------- substreams
@@ -222,33 +222,6 @@ def test_worker_count_does_not_change_results():
         assert np.array_equal(serial.ks_product_limit, parallel.ks_product_limit)
         assert np.array_equal(serial.ks_rhr_mle, parallel.ks_rhr_mle)
         assert serial.n_degenerate == parallel.n_degenerate
-
-
-def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
-    """A huge ``jobs`` asks the pool for at most one worker per CPU. The
-    pool is replaced by an in-process fake, so no process is started."""
-
-    class FakePool:
-        def __init__(self, max_workers):
-            assert max_workers <= (os.cpu_count() or 1)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", FakePool)
-    cfg = SimConfig(mu=0.0, sigma=1.0, scheme="random", n=10, m=40, seed=13)
-    capped = run_study(cfg, jobs=10_000)
-    serial = run_study(cfg, jobs=1)
-    assert np.array_equal(serial.indices, capped.indices)
-    assert np.array_equal(serial.ks_product_limit, capped.ks_product_limit)
-    assert np.array_equal(serial.ks_rhr_mle, capped.ks_rhr_mle)
-    assert serial.n_degenerate == capped.n_degenerate
 
 
 def test_sweep_orders_and_isolates_points():
