@@ -36,7 +36,7 @@ from .data import AllCensoredError, IngestError, ingest, tally
 from .estimators import (
     StepCdf,
     crhf_exp_cdf,
-    eval_cdf,
+    eval_cdf_at,
     greenwood_variance,
     mean_from_cdf,
     product_limit_cdf,
@@ -54,27 +54,57 @@ from .simulation import (
 
 METHODS = ("product-limit", "rhr-mle", "crhf-exp")
 
+# CSV cells are formatted this many rows at a time, so a large table never
+# holds all of its cell strings at once.
+_BLOCK_ROWS = 4096
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """CSV cells: integers as they are, floats to 7 significant digits, NaN as 'unstable'."""
+    if column.dtype.kind in "biu":
+        return list(map(str, column.astype(np.int64).tolist()))
+    return ["unstable" if x != x else format(x, ".7g") for x in column.tolist()]
+
 
 def _fmt(x: float | None) -> str:
-    """7 significant digits; NaN becomes the word 'unstable', None is empty
-    (a column the method does not provide)."""
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "unstable"
-    return format(float(x), ".7g")
+    """One float as a CSV cell; None (a value the method does not provide) is empty."""
+    return "" if x is None else _cells(np.array([float(x)]))[0]
 
 
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
+def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> str:
+    """A CSV table: ``#`` header lines, the column names, one line per row.
+
+    The first column sets the row count; a None column (one the method
+    does not provide) gives empty cells.
+    """
+    rows = len(next(iter(columns.values())))
+    parts = [*header, ",".join(columns)]
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, rows))
+        cells = [[""] * (block.stop - start) if c is None else _cells(c[block]) for c in columns.values()]
+        parts.extend(map(",".join, zip(*cells)))
+    parts.append("")  # the final newline, without copying the text again
+    return "\n".join(parts)
 
 
-def _stderr_of(variance: float | None) -> float | None:
-    if variance is None:
-        return None
-    return math.sqrt(variance) if not math.isnan(variance) else float("nan")
+def _json_values(column: np.ndarray) -> list:
+    """A column as JSON values, non-finite floats as null."""
+    if column.dtype.kind != "f":
+        return column.tolist()
+    return [x if math.isfinite(x) else None for x in column.tolist()]
+
+
+def _json_safe(x: float | None) -> float | None:
+    """One float as a JSON value; None stays null."""
+    return _json_values(np.array([x], dtype=np.float64))[0]
+
+
+def _json_rows(columns: dict[str, np.ndarray | None]) -> list[dict]:
+    """One JSON object per row, keyed by the column names; as in ``_csv``,
+    the first column sets the row count and a None column is all null."""
+    rows = len(next(iter(columns.values())))
+    values = [[None] * rows if c is None else _json_values(c) for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def _fit(table, method: str) -> StepCdf:
@@ -146,44 +176,28 @@ def _emit(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------- estimate
 
 
-def _estimate_csv_single(f: StepCdf, eval_points: list[float] | None, n: int) -> str:
-    lines = [
-        f"# method: {f.method}",
-        f"# n: {n}",
-        f"# lower_value: {_fmt(f.lower_value)}",
-    ]
-    if f.lower_variance is not None:
-        lines.append(f"# lower_variance: {_fmt(f.lower_variance)}")
-    lines.append("t,estimate,variance,stderr")
-    points = eval_points if eval_points is not None else [float(t) for t in f.support]
-    for t in points:
-        est, var = eval_cdf(f, t)
-        lines.append(f"{_fmt(t)},{_fmt(est)},{_fmt(var)},{_fmt(_stderr_of(var))}")
-    return "\n".join(lines) + "\n"
-
-
-def _estimate_csv_all(fits: dict[str, StepCdf], eval_points: list[float] | None, n: int) -> str:
-    pl, rhr, crhf = fits["product-limit"], fits["rhr-mle"], fits["crhf-exp"]
-    lines = ["# method: all", f"# n: {n}"]
-    if eval_points is not None:
-        # Report layout: t, both estimates, both standard errors.
-        lines.append("t,product_limit,rhr_mle,se_product_limit,se_rhr_mle")
-        for t in eval_points:
-            e1, v1 = eval_cdf(pl, t)
-            e2, v2 = eval_cdf(rhr, t)
-            lines.append(
-                f"{_fmt(t)},{_fmt(e1)},{_fmt(e2)},"
-                f"{_fmt(_stderr_of(v1))},{_fmt(_stderr_of(v2))}"
-            )
-    else:
-        lines.append(f"# lower_value: {_fmt(pl.lower_value)},{_fmt(rhr.lower_value)},{_fmt(crhf.lower_value)}")
-        lines.append("t,product_limit,rhr_mle,crhf_exp,se_product_limit,se_rhr_mle")
-        for k, t in enumerate(pl.support):
-            lines.append(
-                f"{_fmt(t)},{_fmt(pl.values[k])},{_fmt(rhr.values[k])},{_fmt(crhf.values[k])},"
-                f"{_fmt(_stderr_of(float(pl.variances[k])))},{_fmt(_stderr_of(float(rhr.variances[k])))}"
-            )
-    return "\n".join(lines) + "\n"
+def _estimate_csv(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -> str:
+    """One method's table (t, estimate, variance, stderr), or for all
+    methods t, the estimates and the two standard errors; over the support
+    unless evaluation points are given."""
+    first = next(iter(fits.values()))
+    t = first.support if points is None else points
+    # On the support a fit's own arrays are its columns; evaluating would copy them.
+    curves = [(f.values, f.variances) if points is None else eval_cdf_at(f, points) for f in fits.values()]
+    if len(fits) == 1:
+        ((estimate, variance),) = curves
+        header = [f"# method: {first.method}", f"# n: {n}", f"# lower_value: {_fmt(first.lower_value)}"]
+        if first.lower_variance is not None:
+            header.append(f"# lower_variance: {_fmt(first.lower_variance)}")
+        return _csv(header, {"t": t, "estimate": estimate, "variance": variance,
+                             "stderr": None if variance is None else np.sqrt(variance)})
+    (pl, pl_var), (rhr, rhr_var), (crhf, _) = curves
+    header = ["# method: all", f"# n: {n}"]
+    columns = {"t": t, "product_limit": pl, "rhr_mle": rhr}
+    if points is None:
+        header.append("# lower_value: " + ",".join(_fmt(f.lower_value) for f in fits.values()))
+        columns["crhf_exp"] = crhf
+    return _csv(header, columns | {"se_product_limit": np.sqrt(pl_var), "se_rhr_mle": np.sqrt(rhr_var)})
 
 
 def _step_json(f: StepCdf) -> dict:
@@ -191,43 +205,33 @@ def _step_json(f: StepCdf) -> dict:
         "method": f.method,
         "lower_value": f.lower_value,
         "lower_variance": _json_safe(f.lower_variance),
-        "support": [float(t) for t in f.support],
-        "values": [float(v) for v in f.values],
+        "support": f.support.tolist(),
+        "values": f.values.tolist(),
     }
     if f.variances is not None:
-        out["variances"] = [_json_safe(float(v)) for v in f.variances]
-        out["stderr"] = [_json_safe(_stderr_of(float(v))) for v in f.variances]
+        out["variances"] = _json_values(f.variances)
+        out["stderr"] = _json_values(np.sqrt(f.variances))
     return out
 
 
-def _estimate_json(fits: dict[str, StepCdf], eval_points: list[float] | None, n: int) -> str:
+def _estimate_json(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -> str:
     doc: dict = {"n": n, "estimates": [_step_json(f) for f in fits.values()]}
-    if eval_points is not None:
-        rows = []
-        for t in eval_points:
-            row: dict = {"t": t}
-            for name, f in fits.items():
-                est, var = eval_cdf(f, t)
-                row[name] = est
-                row[f"{name}_variance"] = _json_safe(var)
-            rows.append(row)
-        doc["eval"] = rows
+    if points is not None:
+        columns = {"t": points}
+        for name, f in fits.items():
+            columns[name], columns[f"{name}_variance"] = eval_cdf_at(f, points)
+        doc["eval"] = _json_rows(columns)
     return json.dumps(doc, indent=2) + "\n"
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     dataset = ingest(args.input)
     table = tally(dataset)
-    eval_points = _parse_floats(args.eval_points, flag="--eval-points") if args.eval_points else None
+    points = np.array(_parse_floats(args.eval_points, flag="--eval-points")) if args.eval_points else None
     names = METHODS if args.method == "all" else (args.method,)
     fits = {name: _fit(table, name) for name in names}
-    if args.format == "json":
-        text = _estimate_json(fits, eval_points, dataset.n)
-    elif args.method == "all":
-        text = _estimate_csv_all(fits, eval_points, dataset.n)
-    else:
-        text = _estimate_csv_single(fits[args.method], eval_points, dataset.n)
-    _emit(text, args.output)
+    render = _estimate_json if args.format == "json" else _estimate_csv
+    _emit(render(fits, points, dataset.n), args.output)
     return 0
 
 
@@ -242,44 +246,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # A jump is flagged when censored observations share its value; those
     # are exactly the points where the two estimators can disagree.
     _, _, censored, _ = table.jumps()
-    tie = censored >= 1
-    ratio = rhr.values / pl.values
-    means = {
-        policy: (mean_from_cdf(pl, policy), mean_from_cdf(rhr, policy))
-        for policy in ("at-first-exact", "at-zero")
-    }
+    columns = {"t": pl.support, "product_limit": pl.values, "rhr_mle": rhr.values,
+               "ratio": rhr.values / pl.values, "tie": censored >= 1}
+    means = {policy: (mean_from_cdf(pl, policy), mean_from_cdf(rhr, policy))
+             for policy in ("at-first-exact", "at-zero")}
     if args.format == "json":
-        doc = {
-            "n": dataset.n,
-            "rows": [
-                {
-                    "t": float(pl.support[k]),
-                    "product_limit": float(pl.values[k]),
-                    "rhr_mle": float(rhr.values[k]),
-                    "ratio": float(ratio[k]),
-                    "tie": bool(tie[k]),
-                }
-                for k in range(pl.jump_count)
-            ],
-            "means": {
-                policy: {"product_limit": a, "rhr_mle": b, "diff": a - b}
-                for policy, (a, b) in means.items()
-            },
-        }
-        text = json.dumps(doc, indent=2) + "\n"
+        means_doc = {policy: {"product_limit": a, "rhr_mle": b, "diff": a - b}
+                     for policy, (a, b) in means.items()}
+        text = json.dumps({"n": dataset.n, "rows": _json_rows(columns), "means": means_doc}, indent=2) + "\n"
     else:
-        lines = [f"# n: {dataset.n}"]
-        for policy, (a, b) in means.items():
-            lines.append(
-                f"# mean[{policy}]: product_limit={_fmt(a)} rhr_mle={_fmt(b)} diff={_fmt(a - b)}"
-            )
-        lines.append("t,product_limit,rhr_mle,ratio,tie")
-        for k in range(pl.jump_count):
-            lines.append(
-                f"{_fmt(pl.support[k])},{_fmt(pl.values[k])},{_fmt(rhr.values[k])},"
-                f"{_fmt(ratio[k])},{int(tie[k])}"
-            )
-        text = "\n".join(lines) + "\n"
+        header = [f"# n: {dataset.n}"] + [
+            f"# mean[{policy}]: product_limit={_fmt(a)} rhr_mle={_fmt(b)} diff={_fmt(a - b)}"
+            for policy, (a, b) in means.items()
+        ]
+        text = _csv(header, columns)
     _emit(text, args.output)
     return 0
 
@@ -318,10 +298,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "se_diff": _json_safe(result.se_diff),
     }
     if args.full:
-        doc["pairs"] = [
-            [int(rep), float(a), float(b)]
-            for rep, a, b in zip(result.indices, result.ks_product_limit, result.ks_rhr_mle)
-        ]
+        doc["pairs"] = [list(pair) for pair in zip(
+            result.indices.tolist(), result.ks_product_limit.tolist(), result.ks_rhr_mle.tolist())]
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
@@ -372,16 +350,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # validates; every study overrides it.
     base = _sim_config(args, **{"mu": 0.0, "sigma": 1.0, "mu_c": 0.0, "sigma_c": 1.0, **fixed})
     results = sweep(base, param, grid, jobs=args.jobs)
-    lines = [f"# sweep: {param}"]
     cfg_doc = _config_dict(base)
     del cfg_doc[param]
-    parts = " ".join(f"{k}={cfg_doc[k]}" for k in sorted(cfg_doc))
-    lines.append(f"# config: {parts}")
-    lines.append("param,mean_diff,n_pairs,n_degenerate")
-    for res in results:
-        value = getattr(res.config, param)
-        lines.append(f"{_fmt(value)},{_fmt(res.mean_diff)},{res.n_pairs},{res.n_degenerate}")
-    _emit("\n".join(lines) + "\n", args.output)
+    header = [f"# sweep: {param}", "# config: " + " ".join(f"{k}={cfg_doc[k]}" for k in sorted(cfg_doc))]
+    columns = {"param": np.array([getattr(res.config, param) for res in results])}
+    for name in ("mean_diff", "n_pairs", "n_degenerate"):
+        columns[name] = np.array([getattr(res, name) for res in results])
+    _emit(_csv(header, columns), args.output)
     return 0
 
 

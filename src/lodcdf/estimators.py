@@ -32,6 +32,7 @@ __all__ = [
     "greenwood_variance",
     "rhr_variance",
     "eval_cdf",
+    "eval_cdf_at",
     "mean_from_cdf",
     "quantile_from_cdf",
     "LeftoverPolicy",
@@ -51,8 +52,8 @@ class StepCdf:
     ``values[k]`` is the estimate at and after ``support[k]``; ``lower_value``
     is the estimate everywhere below ``support[0]``. The last value is 1 by
     construction (empty product). Variances are attached per jump by the
-    variance operations and stay None until then; ``lower_variance`` covers
-    the region below the first jump and may be NaN where the underlying sum
+    variance operations and stay None until then, as does ``lower_variance``,
+    the variance below the first jump, NaN where the underlying sum
     degenerates (reported as "unstable" by the CLI).
     """
 
@@ -77,6 +78,8 @@ class StepCdf:
         if not 0.0 <= self.lower_value <= values[0]:
             raise ValueError("lower_value must lie in [0, F at first jump]")
         variances = self.variances
+        if (variances is None) != (self.lower_variance is None):
+            raise ValueError("variances and lower_variance must be given together")
         if variances is not None:
             variances = _frozen(np.asarray(variances, dtype=np.float64))
             if variances.size != support.size:
@@ -201,16 +204,28 @@ def rhr_variance(table: TallyTable, f: StepCdf) -> StepCdf:
     return replace(f, variances=variances, lower_variance=0.0)
 
 
+def eval_cdf_at(f: StepCdf, points) -> tuple[np.ndarray, np.ndarray | None]:
+    """Evaluate a StepCdf at each of ``points`` (right-continuous).
+
+    Returns (estimates, variances), with ``lower_value`` and
+    ``lower_variance`` below the first jump; variances is None when the
+    StepCdf carries none.
+    """
+    idx = np.searchsorted(f.support, points, side="right") - 1
+    below = idx < 0
+    estimates = np.where(below, f.lower_value, f.values[idx])
+    if f.variances is None:
+        return estimates, None
+    return estimates, np.where(below, f.lower_variance, f.variances[idx])
+
+
 def eval_cdf(f: StepCdf, t: float) -> tuple[float, float | None]:
     """Evaluate a StepCdf at t (right-continuous); returns (estimate, variance).
 
     The variance half is None when the StepCdf carries no variances.
     """
-    idx = int(np.searchsorted(f.support, t, side="right")) - 1
-    if idx < 0:
-        return f.lower_value, f.lower_variance
-    variance = float(f.variances[idx]) if f.variances is not None else None
-    return float(f.values[idx]), variance
+    (estimate,), variances = eval_cdf_at(f, [t])
+    return float(estimate), None if variances is None else float(variances[0])
 
 
 def mean_from_cdf(f: StepCdf, leftover_policy: LeftoverPolicy = "at-first-exact") -> float:
@@ -230,7 +245,12 @@ def mean_from_cdf(f: StepCdf, leftover_policy: LeftoverPolicy = "at-first-exact"
 
 
 def quantile_from_cdf(f: StepCdf, p: float) -> float:
-    """Smallest jump value t with F̂(t) >= p, for p in (0, 1]."""
+    """Smallest jump value t with F̂(t) >= p, for p in (0, 1].
+
+    For p <= lower_value the generalized inverse lies below the first jump,
+    where no value was observed; the result is then ``support[0]``, an
+    upper bound of it.
+    """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
     idx = int(np.searchsorted(f.values, p, side="left"))

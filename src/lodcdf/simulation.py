@@ -175,8 +175,12 @@ class SimConfig:
             raise InvalidParameterError(f"sigma_c must be positive and finite, got {self.sigma_c}")
         if self.n < 2:
             raise InvalidParameterError(f"n must be at least 2, got {self.n}")
+        if self.n >= 1 / LOG_PRODUCT_THRESHOLD:
+            raise InvalidParameterError(f"n must be below {1 / LOG_PRODUCT_THRESHOLD:.0f}, got {self.n}")
         if self.m < 1:
             raise InvalidParameterError(f"m must be at least 1, got {self.m}")
+        if self.m > _MAX_REPLICATION:
+            raise InvalidParameterError(f"m must be at most 2**44, got {self.m}")
         if not 0 <= self.seed < _MAX_SEED:
             raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -265,9 +269,9 @@ def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
     0).
     """
     rows, n = values.shape
-    # Every nonzero factor is at least about 1/n, so _tail_products would
-    # never take its log-space branch: a plain cumprod is what it computes.
-    assert n < 1 / LOG_PRODUCT_THRESHOLD
+    # Every nonzero factor is at least 1/n and SimConfig keeps n below
+    # 1/LOG_PRODUCT_THRESHOLD, so _tail_products would never take its
+    # log-space branch: a plain cumprod is what it computes.
     order = np.argsort(values, axis=1, kind="stable")
     v = np.take_along_axis(values, order, axis=1)
     exact_cum = np.cumsum(np.take_along_axis(detected, order, axis=1), axis=1)

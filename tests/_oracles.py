@@ -18,10 +18,14 @@ The last two are float references built from the package's own parts:
 `_replicate` runs one simulation replication the scalar way (one
 `Dataset`, one `tally`, two estimators, two `ks_distance` calls), the
 reference the batched study engine must match bit for bit.
+
+`fmt_cell` formats one CSV cell on its own, the reference for the CLI's
+column renderer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -293,3 +297,12 @@ def _replicate(cfg: SimConfig, grid_point: int, rep: int) -> tuple[float, float]
     f_pl = product_limit_cdf(table)
     f_rhr = rhr_mle_cdf(table)
     return ks_distance(f_pl, cfg.mu, cfg.sigma), ks_distance(f_rhr, cfg.mu, cfg.sigma)
+
+
+def fmt_cell(x: float | None) -> str:
+    """One CSV cell: 7 significant digits, NaN as 'unstable', None empty."""
+    if x is None:
+        return ""
+    if isinstance(x, float) and math.isnan(x):
+        return "unstable"
+    return format(float(x), ".7g")

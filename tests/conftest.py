@@ -1,15 +1,28 @@
-"""Shared test helpers: random dataset factories and acceptance reporting."""
+"""Shared test helpers: random dataset factories, acceptance reporting and
+the import path of child interpreters."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lodcdf
 from lodcdf import Dataset
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _children_import_this_lodcdf():
+    """Child interpreters (``python -m lodcdf.cli``) import the lodcdf
+    under test, also from a checkout where it is not installed."""
+    here = str(Path(lodcdf.__file__).resolve().parent.parent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def make_grid_dataset(rng: np.random.Generator, n: int | None = None,

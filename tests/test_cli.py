@@ -13,14 +13,18 @@ from hypothesis import strategies as st
 from lodcdf import (
     Dataset,
     crhf_exp_cdf,
+    eval_cdf,
     greenwood_variance,
+    ingest,
     product_limit_cdf,
     rhr_mle_cdf,
     rhr_variance,
     tally,
 )
-from lodcdf.cli import main
+from lodcdf import cli
+from lodcdf.cli import METHODS, main
 
+from _oracles import fmt_cell
 from conftest import FIXTURES
 from test_estimators import pair_lists
 
@@ -137,6 +141,86 @@ def test_estimate_unstable_variance_rendering(capsys, tmp_path):
     assert row == "0.5,0,unstable,unstable"
     code, out, _ = run(capsys, "estimate", str(p), "--format", "json")
     assert json.loads(out)["estimates"][0]["lower_variance"] is None
+
+
+def _right_continuous(f, t):
+    """F̂(t) and its variance by direct lookup: the last jump at or below t,
+    else the values below the first jump."""
+    k = sum(s <= t for s in f.support.tolist()) - 1
+    if k < 0:
+        return f.lower_value, f.lower_variance
+    return float(f.values[k]), None if f.variances is None else float(f.variances[k])
+
+
+def _table_rows(text):
+    """The data rows of a CSV table: the lines after the column names."""
+    lines = text.splitlines()
+    return lines[next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_lists(max_n=30), st.sampled_from(METHODS + ("all",)), st.booleans())
+def test_csv_cells_are_the_scalar_evaluation(tmp_path_factory, pairs, method, at_points):
+    """Every cell of ``estimate`` is the scalar ``eval_cdf`` result, formatted
+    one at a time, at points below the first jump, on each jump, between
+    jumps and above the last; and ``eval_cdf`` is the right-continuous
+    lookup."""
+    workdir = tmp_path_factory.mktemp("cells")
+    data, out = workdir / "data.csv", workdir / "fit.csv"
+    data.write_text("value,detected\n" + "".join(f"{v!r},{int(flag)}\n" for v, flag in pairs))
+    table = tally(Dataset.from_pairs(pairs))
+    fits = {name: cli._fit(table, name) for name in METHODS}
+    support = fits["product-limit"].support.tolist()
+    mids = [(a + b) / 2 for a, b in zip(support, support[1:])]
+    points = [support[0] / 2, *support, *mids, support[-1] + 1] if at_points else support
+    argv = ["estimate", str(data), "--method", method, "--output", str(out)]
+    if at_points:
+        argv += ["--eval-points", ",".join(map(repr, points))]
+    assert main(argv) == 0
+
+    def at(name, t):
+        estimate, variance = eval_cdf(fits[name], t)
+        assert repr((estimate, variance)) == repr(_right_continuous(fits[name], t))
+        return estimate, variance, None if variance is None else math.sqrt(variance)
+
+    expected = []
+    for t in points:
+        if method != "all":
+            cells = (t, *at(method, t))
+        else:
+            (pl, _, se_pl), (rhr, _, se_rhr) = at("product-limit", t), at("rhr-mle", t)
+            crhf = () if at_points else (at("crhf-exp", t)[0],)
+            cells = (t, pl, rhr, *crhf, se_pl, se_rhr)
+        expected.append(",".join(map(fmt_cell, cells)))
+    assert _table_rows(out.read_text()) == expected
+
+
+def test_csv_blocks_join_into_one_table(tmp_path, monkeypatch):
+    argv = ["estimate", str(FIXTURES / "groundwater_reconstructed.csv"), "--method", "all"]
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    assert main(argv + ["--output", str(whole)]) == 0
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    assert main(argv + ["--output", str(blocked)]) == 0
+    assert len(_table_rows(whole.read_text())) > 3
+    assert blocked.read_text() == whole.read_text()
+
+
+def test_negative_zero_prints_as_minus_zero(capsys, tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("value,detected\n-0.0,1\n1,0\n2,1\n")
+    code, out, _ = run(capsys, "estimate", str(p))
+    assert code == 0
+    assert _table_rows(out)[0].startswith("-0,")
+
+
+def test_crhf_has_no_variance_below_the_first_jump(capsys):
+    lower = crhf_exp_cdf(tally(ingest(SIX))).lower_value
+    code, out, _ = run(capsys, "estimate", str(SIX), "--method", "crhf-exp", "--eval-points", "0.5")
+    assert code == 0
+    assert _table_rows(out) == [f"0.5,{fmt_cell(lower)},,"]
+    code, out, _ = run(capsys, "estimate", str(SIX), "--method", "crhf-exp", "--eval-points", "0.5",
+                       "--format", "json")
+    assert json.loads(out)["eval"] == [{"t": 0.5, "crhf-exp": lower, "crhf-exp_variance": None}]
 
 
 def test_estimate_output_file(capsys, tmp_path):
@@ -305,6 +389,18 @@ def test_sweep_csv_shape(capsys):
     assert params[0] == 0.5 and params[-1] == 4.0
 
 
+def test_sweep_counts_are_plain_integers(capsys):
+    code, out, _ = run(capsys, "sweep", "--fix", "mu=0", "--grid", "sigma=0.5:1:2",
+                       "--lods", "1,2,4", "--n", "2", "--m", "40", "--seed", "3")
+    assert code == 0
+    rows = [r.split(",") for r in _table_rows(out)]
+    assert len(rows) == 2
+    for _, _, n_pairs, n_degenerate in rows:
+        assert n_pairs.isdigit() and n_degenerate.isdigit()
+        assert int(n_pairs) + int(n_degenerate) == 40
+    assert any(int(row[3]) > 0 for row in rows)
+
+
 def test_sweep_takes_model_parameters_only_through_fix(capsys):
     common = ("--grid", "sigma=0.5:1:2", "--n", "6", "--m", "3", "--seed", "1")
     code, out, _ = run(capsys, "sweep", "--scheme", "random", "--fix", "mu_c=-1",
@@ -366,6 +462,14 @@ def test_all_censored_exits_4(capsys, tmp_path):
 def test_invalid_sim_parameters_exit_5(capsys):
     code, _, _ = run(capsys, "simulate", "--mu", "0", "--sigma", "-3", "--m", "2")
     assert code == 5
+
+
+def test_replication_count_beyond_the_key_space_exits_5(capsys):
+    code, out, err = run(capsys, "simulate", "--mu", "0", "--sigma", "1",
+                         "--m", str((1 << 44) + 1), "--n", "2")
+    assert code == 5
+    assert out == ""
+    assert "m must be at most 2**44" in err
 
 
 def test_overflowing_draws_exit_5_naming_the_parameters(capsys):

@@ -112,6 +112,16 @@ def test_six_obs_quantiles():
             quantile_from_cdf(pl, bad)
 
 
+def test_quantile_at_or_below_lower_value_is_the_first_jump():
+    """For p <= lower_value the generalized inverse lies below the first
+    jump, where nothing was observed; the documented answer is support[0],
+    an upper bound of it."""
+    _, pl, _, _ = fits([(0.5, False), (0.5, True), (1.0, True)])
+    assert pl.lower_value == pytest.approx(1 / 3)
+    for p in (1e-9, pl.lower_value):
+        assert quantile_from_cdf(pl, p) == 0.5
+
+
 def test_all_exact_quantile():
     _, pl, _, _ = fits([(1, True), (2, True), (3, True)])
     assert quantile_from_cdf(pl, 0.34) == 2.0
@@ -341,6 +351,11 @@ def test_step_cdf_validation():
         StepCdf(np.array([1.0]), np.array([0.5]), 0.7, "x")
     with pytest.raises(ValueError):
         StepCdf(np.array([1.0]), np.array([1.5]), 0.0, "x")
+    # per-jump variances and the one below the first jump come together
+    with pytest.raises(ValueError, match="together"):
+        StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([0.0]))
+    with pytest.raises(ValueError, match="together"):
+        StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", lower_variance=0.0)
 
 
 def test_estimators_reject_a_tally_without_exact_rows():

@@ -185,6 +185,16 @@ def test_config_validation():
             SimConfig(**kwargs)
 
 
+def test_config_limits_the_study_sizes():
+    """n stays below 1/LOG_PRODUCT_THRESHOLD, which the engine's plain
+    suffix products rely on, and m within the 2**44 replications that the
+    substream keys hold; both are refused before any draw."""
+    SimConfig(mu=0.0, sigma=1.0, n=10**8 - 1, m=1 << 44)  # built, never run
+    for kwargs in (dict(n=10**8), dict(m=(1 << 44) + 1)):
+        with pytest.raises(InvalidParameterError, match="must be"):
+            SimConfig(mu=0.0, sigma=1.0, **kwargs)
+
+
 # ---------------------------------------------------------------- studies
 
 
