@@ -13,7 +13,6 @@ from .data import (
     AllCensoredError,
     Dataset,
     IngestError,
-    Observation,
     TallyTable,
     ingest,
     tally,
@@ -46,36 +45,9 @@ from .simulation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AllCensoredError",
-    "Dataset",
-    "IngestError",
-    "InvalidParameterError",
-    "LeftoverPolicy",
-    "Observation",
-    "SimConfig",
-    "StepCdf",
-    "StudyDegenerateError",
-    "StudyResult",
-    "SubstitutionStrategy",
-    "TallyTable",
-    "apply_random_censoring",
-    "apply_time_censoring",
-    "crhf_exp_cdf",
-    "ecdf",
-    "eval_cdf",
-    "greenwood_variance",
-    "ingest",
-    "ks_distance",
-    "mean_from_cdf",
-    "product_limit_cdf",
-    "quantile_from_cdf",
-    "rhr_mle_cdf",
-    "rhr_variance",
-    "run_study",
-    "sample_lognormal",
-    "substitution_mean",
-    "substream",
-    "sweep",
-    "tally",
-]
+__all__ = ["AllCensoredError", "Dataset", "IngestError", "InvalidParameterError", "LeftoverPolicy",
+           "SimConfig", "StepCdf", "StudyDegenerateError", "StudyResult", "SubstitutionStrategy",
+           "TallyTable", "apply_random_censoring", "apply_time_censoring", "crhf_exp_cdf", "ecdf",
+           "eval_cdf", "greenwood_variance", "ingest", "ks_distance", "mean_from_cdf",
+           "product_limit_cdf", "quantile_from_cdf", "rhr_mle_cdf", "rhr_variance", "run_study",
+           "sample_lognormal", "substitution_mean", "substream", "sweep", "tally"]

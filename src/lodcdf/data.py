@@ -12,19 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
-__all__ = [
-    "Observation",
-    "Dataset",
-    "TallyTable",
-    "IngestError",
-    "AllCensoredError",
-    "ingest",
-    "tally",
-]
+__all__ = ["Dataset", "TallyTable", "IngestError", "AllCensoredError", "ingest", "tally"]
 
 
 class IngestError(ValueError):
@@ -44,62 +36,55 @@ class AllCensoredError(ValueError):
 _ALL_CENSORED = "every value is censored; no distribution estimate can be proposed"
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
-    """One measurement.
+class Dataset:
+    """A sample in input order: values and detection flags, two read-only arrays.
 
-    value is the observed number: the measurement itself when detected, the
-    limit of detection otherwise. Values are compared for tie purposes by
-    exact equality of the parsed numbers; no tolerance is ever applied.
+    A value is the measurement itself when detected and the limit of
+    detection otherwise. Values are compared for tie purposes by exact
+    equality; no tolerance is ever applied. Every value must be finite and
+    >= 0, and at least one must be detected.
     """
 
-    value: float
-    detected: bool
+    __slots__ = ("_values", "_detected")
 
-    def __post_init__(self):
-        if not (isinstance(self.value, (int, float)) and math.isfinite(self.value)):
-            raise ValueError(f"observation value must be finite, got {self.value!r}")
-        if self.value < 0:
-            raise ValueError(f"observation value must be >= 0, got {self.value!r}")
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "detected", bool(self.detected))
-
-
-@dataclass(frozen=True, slots=True)
-class Dataset:
-    """Ordered collection of observations; at least one must be detected."""
-
-    observations: tuple[Observation, ...]
-
-    def __post_init__(self):
-        obs = tuple(self.observations)
-        if not obs:
+    def __init__(self, values: np.ndarray, detected: np.ndarray):
+        values, detected = np.asarray(values), np.asarray(detected)
+        if values.dtype.kind not in "biuf" or detected.dtype.kind not in "biuf":
+            raise ValueError("dataset values and flags must be numbers")
+        if values.ndim != 1 or values.shape != detected.shape:
+            raise ValueError("dataset values and flags must be 1-D arrays of equal length")
+        if not values.size:
             raise ValueError("dataset needs at least one observation")
-        if not any(o.detected for o in obs):
+        values = _frozen(values.astype(np.float64))
+        bad = ~(values >= 0) | np.isinf(values)  # NaN fails the comparison
+        if bad.any():
+            raise ValueError(f"observation value must be finite and >= 0, got {float(values[bad][0])!r}")
+        if not detected.any():
             raise AllCensoredError(_ALL_CENSORED)
-        object.__setattr__(self, "observations", obs)
+        self._values = values
+        self._detected = _frozen(detected.astype(bool))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, bool]]) -> "Dataset":
-        return cls(tuple(Observation(v, d) for v, d in pairs))
+        pairs = list(pairs)
+        return cls([v for v, _ in pairs], [d for _, d in pairs])
 
     @classmethod
     def from_arrays(cls, values: np.ndarray, detected: np.ndarray) -> "Dataset":
-        return cls.from_pairs(zip(values.tolist(), detected.tolist()))
+        return cls(values, detected)
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return self._values.size
 
     def values(self) -> np.ndarray:
-        return np.array([o.value for o in self.observations], dtype=np.float64)
+        return self._values
 
     def detected(self) -> np.ndarray:
-        return np.array([o.detected for o in self.observations], dtype=bool)
+        return self._detected
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
     a.setflags(write=False)
     return a
 
@@ -159,32 +144,67 @@ class TallyTable:
 
 
 _HEADER = ("value", "detected")
+# Text is parsed in blocks of whole lines about this many characters long
+# (65,536 short rows), so the per-row strings of a large file never all exist
+# at once. Lines end at "\n" only, as when iterating a text-mode file.
+_BLOCK_CHARS = 1 << 19
 
 
-def _rows(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+def _read(source: str | Path | IO[str]) -> str:
+    """The whole text without one leading byte-order mark. A file is decoded
+    as UTF-8 with its newlines translated as a text-mode file's are."""
+    if not isinstance(source, (str, Path)):
+        text = source.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            raise IngestError(f"cannot decode byte 0x{data[exc.start]:02x} as UTF-8",
+                              head.count(b"\n") + 1) from None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+    # Spreadsheet "CSV UTF-8" exports put a byte-order mark first.
+    return text[1:] if text.startswith("\ufeff") else text
+
+
+def _fast(block: str, no_rows: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of a block whose every data line is ``<number>,0`` or
+    ``<number>,1`` with a finite number >= 0; None leaves the block to _scan."""
+    if "#" in block or "\n\n" in block or block.startswith("\n"):
+        block = "\n".join(line for line in block.split("\n") if line and line[0] != "#")
+    if block and not block.endswith("\n"):
+        block += "\n"
+    header = ",".join(_HEADER) + "\n"
+    if no_rows and block[:len(header)].lower() == header:
+        block = block[len(header):]
+    n = block.count("\n")
+    # One comma per row, and every row ends in ",0" or ",1".
+    if block.count(",") != n or block.count(",0\n") + block.count(",1\n") != n:
+        return None
+    cells = block.replace("\n", ",").split(",")
+    try:
+        values = np.fromiter(map(float, cells[0:-1:2]), np.float64, n)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or (values < 0).any():
+        return None
+    return values, np.frombuffer("".join(cells[1::2]).encode(), np.uint8) == ord("1")
+
+
+def _scan(lines: list[str], first: int, no_rows: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a block line by line, ``first`` being its first line's number;
+    raises IngestError at the first line that is not a row."""
+    values: list[float] = []
+    flags: list[bool] = []
+    for lineno, line in enumerate(lines, start=first):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
-        yield lineno, line
-
-
-def ingest(source: str | Path | IO[str]) -> Dataset:
-    """Read observations from CSV text: ``value,detected`` with detected in {0,1}.
-
-    The header line ``value,detected`` is optional; ``#`` lines and blank
-    lines are skipped. Raises IngestError (with the offending line number)
-    for anything unreadable, and AllCensoredError when no row is detected.
-    """
-    if isinstance(source, (str, Path)):
-        # utf-8-sig drops the byte-order mark spreadsheet exports put first.
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            return ingest(fh)
-
-    pairs: list[tuple[float, bool]] = []
-    for lineno, line in _rows(source):
         fields = [f.strip() for f in line.split(",")]
-        if not pairs and tuple(f.lower() for f in fields) == _HEADER:
+        if no_rows and not values and tuple(f.lower() for f in fields) == _HEADER:
             continue
         if len(fields) != 2:
             raise IngestError(f"expected 2 fields, got {len(fields)}: {line!r}", lineno)
@@ -198,11 +218,34 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
             raise IngestError(f"value must be >= 0, got {fields[0]!r}", lineno)
         if fields[1] not in ("0", "1"):
             raise IngestError(f"detected flag must be 0 or 1, got {fields[1]!r}", lineno)
-        pairs.append((value, fields[1] == "1"))
+        values.append(value)
+        flags.append(fields[1] == "1")
+    return np.array(values, dtype=np.float64), np.array(flags, dtype=bool)
 
-    if not pairs:
+
+def ingest(source: str | Path | IO[str]) -> Dataset:
+    """Read observations from CSV text: ``value,detected`` with detected in {0,1}.
+
+    The header line ``value,detected`` is optional; ``#`` lines and blank
+    lines are skipped. Raises IngestError (with the offending line number)
+    for anything unreadable, and AllCensoredError when no row is detected.
+    """
+    text = _read(source)
+    values: list[np.ndarray] = []
+    detected: list[np.ndarray] = []
+    start, lineno, no_rows = 0, 1, True
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        block = text[start:end]
+        v, d = _fast(block, no_rows) or _scan(block.split("\n"), lineno, no_rows)
+        values.append(v)
+        detected.append(d)
+        no_rows = no_rows and not v.size
+        lineno += block.count("\n")
+        start = end
+    if no_rows:
         raise IngestError("no observations found")
-    return Dataset.from_pairs(pairs)
+    return Dataset(np.concatenate(values), np.concatenate(detected))
 
 
 def tally(dataset: Dataset) -> TallyTable:

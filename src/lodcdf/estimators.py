@@ -24,19 +24,9 @@ import numpy as np
 
 from .data import TallyTable, _frozen
 
-__all__ = [
-    "StepCdf",
-    "product_limit_cdf",
-    "rhr_mle_cdf",
-    "crhf_exp_cdf",
-    "greenwood_variance",
-    "rhr_variance",
-    "eval_cdf",
-    "eval_cdf_at",
-    "mean_from_cdf",
-    "quantile_from_cdf",
-    "LeftoverPolicy",
-]
+__all__ = ["StepCdf", "product_limit_cdf", "rhr_mle_cdf", "crhf_exp_cdf", "greenwood_variance",
+           "rhr_variance", "eval_cdf", "eval_cdf_at", "mean_from_cdf", "quantile_from_cdf",
+           "LeftoverPolicy"]
 
 # Products switch to log-space accumulation when any nonzero factor drops
 # below this; exact zeros are handled exactly by either path.

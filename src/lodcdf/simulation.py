@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import Dataset
+from .data import Dataset, _frozen
 from .estimators import LOG_PRODUCT_THRESHOLD, StepCdf
 
 # Purpose slots inside a replication's key space.
@@ -69,10 +69,7 @@ def _key(seed: int, replication: int, purpose: int, grid_point: int) -> int:
     64-bit word and (grid_point << 48) | (replication << 4) | purpose the
     low one.
     """
-    seed = int(seed)
-    replication = int(replication)
-    purpose = int(purpose)
-    grid_point = int(grid_point)
+    seed, replication, purpose, grid_point = map(int, (seed, replication, purpose, grid_point))
     if not 0 <= seed < _MAX_SEED:
         raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if not 0 <= replication < _MAX_REPLICATION:
@@ -153,14 +150,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        for name, kind in (("mu", float), ("sigma", float), ("mu_c", float), ("sigma_c", float),
+                           ("n", int), ("m", int), ("seed", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         object.__setattr__(self, "lods", tuple(float(v) for v in self.lods))
-        object.__setattr__(self, "mu_c", float(self.mu_c))
-        object.__setattr__(self, "sigma_c", float(self.sigma_c))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "seed", int(self.seed))
         if not math.isfinite(self.mu):
             raise InvalidParameterError(f"mu must be finite, got {self.mu}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -202,18 +195,13 @@ class StudyResult:
     grid_point: int = 0
 
     def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.int64)
-        kpl = np.asarray(self.ks_product_limit, dtype=np.float64)
-        krh = np.asarray(self.ks_rhr_mle, dtype=np.float64)
-        if not indices.size == kpl.size == krh.size:
+        for name, dtype in (("indices", np.int64), ("ks_product_limit", np.float64),
+                            ("ks_rhr_mle", np.float64)):
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
+        if not self.indices.size == self.ks_product_limit.size == self.ks_rhr_mle.size:
             raise ValueError("pair arrays must share one length")
-        if indices.size + self.n_degenerate != self.config.m:
+        if self.indices.size + self.n_degenerate != self.config.m:
             raise ValueError("pairs plus degenerate replications must count to m")
-        for a in (indices, kpl, krh):
-            a.setflags(write=False)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "ks_product_limit", kpl)
-        object.__setattr__(self, "ks_rhr_mle", krh)
 
     @property
     def n_pairs(self) -> int:

@@ -152,12 +152,13 @@ def test_perturbation_moves_only_tied_censored_values(pairs):
     pert = perturb_censored_ties(d)
     assert pert.n == d.n
     exact_values = set(float(v) for v, f in zip(d.values(), d.detected()) if f)
-    for before, after in zip(d.observations, pert.observations):
-        assert before.detected == after.detected
-        if before.detected or float(before.value) not in exact_values:
-            assert after.value == before.value
+    for before_value, before_detected, after_value, after_detected in zip(
+            d.values(), d.detected(), pert.values(), pert.detected()):
+        assert before_detected == after_detected
+        if before_detected or float(before_value) not in exact_values:
+            assert after_value == before_value
         else:
-            assert before.value < after.value
+            assert before_value < after_value
     # result is free of exact/censored collisions
     pert_exact = set(float(v) for v, f in zip(pert.values(), pert.detected()) if f)
     pert_cens = set(float(v) for v, f in zip(pert.values(), pert.detected()) if not f)

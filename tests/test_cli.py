@@ -452,6 +452,16 @@ def test_ingest_error_exits_3_with_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_undecodable_input_exits_3_with_line(capsys, tmp_path):
+    # a Latin-1 micro sign in a comment is not UTF-8
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"value,detected\r\n1,1\r# copper \xb5g/L\n1.5,1\n")
+    code, out, err = run(capsys, "estimate", str(p))
+    assert code == 3
+    assert out == ""
+    assert "line 3" in err and "0xb5" in err
+
+
 def test_all_censored_exits_4(capsys, tmp_path):
     p = tmp_path / "c.csv"
     p.write_text("value,detected\n1,0\n2,0\n")

@@ -1,4 +1,7 @@
 import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from lodcdf import (
     AllCensoredError,
     Dataset,
     IngestError,
-    Observation,
+    data,
     ingest,
     tally,
 )
@@ -17,20 +20,40 @@ from lodcdf import (
 from conftest import FIXTURES
 
 
-def test_observation_validates():
-    Observation(1.5, True)
-    Observation(0.0, False)
+def test_dataset_validates():
+    Dataset.from_pairs([(1.5, True)])
+    Dataset.from_pairs([(0.0, False), (1.5, True)])
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Dataset.from_pairs([(bad, True)])
+        with pytest.raises(ValueError):
+            Dataset.from_arrays(np.array([1.0, bad]), np.array([True, False]))
+    with pytest.raises(ValueError):  # text is not a number
+        Dataset.from_pairs([("1.5", True)])
     with pytest.raises(ValueError):
-        Observation(-1.0, True)
-    with pytest.raises(ValueError):
-        Observation(float("nan"), True)
-    with pytest.raises(ValueError):
-        Observation(float("inf"), False)
+        Dataset.from_pairs([])
+    with pytest.raises(ValueError):  # one flag per value
+        Dataset.from_arrays(np.ones(3), np.ones(2, dtype=bool))
+    with pytest.raises(ValueError):  # two columns, not a table
+        Dataset.from_arrays(np.ones((2, 2)), np.ones((2, 2), dtype=bool))
 
 
-def test_observation_coerces_types():
-    obs = Observation(np.float64(2.0), np.bool_(True))
-    assert isinstance(obs.value, float) and isinstance(obs.detected, bool)
+def test_dataset_coerces_types():
+    d = Dataset.from_pairs([(np.float64(2.0), np.bool_(True)),
+                            (np.float32(0.5), np.int64(0)), (3, 1)])
+    assert d.values().dtype == np.float64 and d.detected().dtype == bool
+    assert d.values().tolist() == [2.0, 0.5, 3.0]
+    assert d.detected().tolist() == [True, False, True]
+    # the stored arrays are read-only copies, handed out without copying
+    values = np.array([1.0, 2.0])
+    d = Dataset.from_arrays(values, np.array([True, False]))
+    assert d.values() is d.values() and d.detected() is d.detected()
+    with pytest.raises(ValueError):
+        d.values()[0] = 5.0
+    with pytest.raises(ValueError):
+        d.detected()[0] = False
+    values[0] = 9.0
+    assert d.values().tolist() == [1.0, 2.0]
 
 
 def test_dataset_requires_a_detection():
@@ -77,6 +100,22 @@ def test_ingest_accepts_utf8_bom(tmp_path):
     assert ingest(headerless).values().tolist() == [2.0]
 
 
+def test_ingest_strips_one_bom_from_any_source():
+    d = ingest(io.StringIO("\ufeffvalue,detected\n1,1\n"))
+    assert d.values().tolist() == [1.0]
+    assert d.detected().tolist() == [True]
+    with pytest.raises(IngestError, match="line 1: unreadable value"):
+        ingest(io.StringIO("\ufeff\ufeff1,1\n"))
+
+
+def test_ingest_reports_undecodable_bytes_by_line(tmp_path):
+    p = tmp_path / "latin1.csv"
+    # lone CR, CRLF and LF all end a line, as in a text-mode file
+    p.write_bytes(b"value,detected\r1,1\r\n2,0\n# 5 \xb5g/L\n")
+    with pytest.raises(IngestError, match="line 4: cannot decode byte 0xb5 as UTF-8"):
+        ingest(p)
+
+
 def test_ingest_reports_line_numbers():
     with pytest.raises(IngestError) as exc:
         ingest(io.StringIO("value,detected\n1,1\n2,7\n"))
@@ -106,6 +145,85 @@ def test_ingest_empty_is_an_error():
 def test_ingest_all_censored_raises():
     with pytest.raises(AllCensoredError):
         ingest(io.StringIO("1,0\n2,0\n"))
+
+
+# ------------------------------------------- fast path against per-line scan
+
+_VALUES = st.one_of(
+    st.floats(0, 1e300).map(repr), st.integers(0, 10**6).map(str),
+    st.sampled_from(["-0", "-0.0", "1_0", ".5", "5.", "4.9e-324", "2.2250738585072011e-308",
+                     "0.1000000000000000055511151231257827"]))
+_CLEAN_LINES = st.one_of(st.builds("{},{}".format, _VALUES, st.sampled_from("01")),
+                         st.sampled_from(["", "# note", "#", "#1,1", "#\u00b5g/L"]))
+_PADS = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3000", "\ufeff"]
+# A row with each of its three parts replaced by an odd one half the time.
+_ODD_ROWS = st.builds(
+    "{}{}{}".format,
+    st.one_of(_VALUES, st.sampled_from(["nan", "-inf", "1e400", "-1", "-1e-400", " 2 ", "\u0661",
+                                        "abc", "", '"1.5"', "value"])),
+    st.one_of(st.just(","), st.sampled_from([", ", ";", ",,", " ,"])),
+    st.one_of(st.sampled_from("01"), st.sampled_from(["1 ", " 1", "1.0", "2", "", "01", '"1"'])))
+_ANY_LINES = st.one_of(
+    _CLEAN_LINES,
+    _ODD_ROWS,
+    st.builds("{}{}{}".format, st.sampled_from(_PADS), st.one_of(_CLEAN_LINES, _ODD_ROWS),
+              st.sampled_from(_PADS + [" # note", "#", ",1", ",", ";1"])),
+    st.sampled_from(["value,detected", "Value, Detected", "VALUE,DETECTED", "value;detected",
+                     "  ", "\t", "  # indented comment"]),
+)
+
+
+@st.composite
+def _csv_texts(draw, lines=_ANY_LINES, ends=("\n", "\r\n", "\r"),
+               heads=("", "\ufeff", "value,detected\n", "\ufeffvalue,detected\r\n")):
+    body = draw(st.lists(st.tuples(lines, st.sampled_from(ends)), max_size=12))
+    text = "".join(line + end for line, end in body)
+    if body and draw(st.booleans()):
+        text = text[:-len(body[-1][1])]  # no newline after the last line
+    head = draw(st.sampled_from(heads))
+    return head + text
+
+
+def _per_line_scan(lines):
+    """What ingest gives when every block is read line by line."""
+    values, detected = data._scan(list(lines), 1, True)
+    if not values.size:
+        raise IngestError("no observations found")
+    return Dataset.from_arrays(values, detected)
+
+
+def _outcome(read):
+    try:
+        d = read()
+    except (IngestError, AllCensoredError) as exc:
+        return type(exc).__name__, str(exc)
+    # tobytes tells -0.0 from 0.0
+    return d.values().tobytes(), d.detected().tobytes()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_csv_texts(), st.sampled_from([8, 40, 1 << 19]))
+def test_fast_path_matches_per_line_scan(text, block_chars):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(data, "_BLOCK_CHARS", block_chars):
+            got = [_outcome(lambda: ingest(path)), _outcome(lambda: ingest(io.StringIO(text)))]
+        # Reference: a text-mode file's lines, and a string's lines after one BOM.
+        with open(path, encoding="utf-8-sig") as fh:
+            expected = [_outcome(lambda: _per_line_scan(fh))]
+        stream = io.StringIO(text.removeprefix("\ufeff"))
+        expected.append(_outcome(lambda: _per_line_scan(stream)))
+    assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_csv_texts(_CLEAN_LINES, ends=("\n",), heads=("", "\ufeff", "Value,Detected\n")),
+       st.sampled_from([8, 40, 1 << 19]))
+def test_plain_rows_take_the_fast_path(text, block_chars):
+    with mock.patch.object(data, "_BLOCK_CHARS", block_chars), \
+            mock.patch.object(data, "_scan", side_effect=AssertionError("per-line scan")):
+        _outcome(lambda: ingest(io.StringIO(text)))
 
 
 def test_ingest_fixture():
