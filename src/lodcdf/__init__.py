@@ -34,11 +34,7 @@ from .simulation import (
     SimConfig,
     StudyDegenerateError,
     StudyResult,
-    apply_random_censoring,
-    apply_time_censoring,
-    ks_distance,
     run_study,
-    sample_lognormal,
     substream,
     sweep,
 )
@@ -47,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = ["AllCensoredError", "Dataset", "IngestError", "InvalidParameterError", "LeftoverPolicy",
            "SimConfig", "StepCdf", "StudyDegenerateError", "StudyResult", "SubstitutionStrategy",
-           "TallyTable", "apply_random_censoring", "apply_time_censoring", "crhf_exp_cdf", "ecdf",
-           "eval_cdf", "greenwood_variance", "ingest", "ks_distance", "mean_from_cdf",
-           "product_limit_cdf", "quantile_from_cdf", "rhr_mle_cdf", "rhr_variance", "run_study",
-           "sample_lognormal", "substitution_mean", "substream", "sweep", "tally"]
+           "TallyTable", "crhf_exp_cdf", "ecdf", "eval_cdf", "greenwood_variance", "ingest",
+           "mean_from_cdf", "product_limit_cdf", "quantile_from_cdf", "rhr_mle_cdf", "rhr_variance",
+           "run_study", "substitution_mean", "substream", "sweep", "tally"]

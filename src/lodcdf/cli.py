@@ -12,10 +12,11 @@ Subcommands:
 Exit codes: 0 ok, 2 I/O or usage, 3 malformed input data, 4 fully censored
 dataset, 5 invalid study parameters, 6 every replication degenerate.
 
-All output is assembled in memory and written in one shot, so a failing run
-never leaves a partial file behind. Numbers in CSV are printed with 7
-significant digits; JSON carries full precision. A NaN variance is printed
-as "unstable" in CSV and null in JSON. The LODCDF_SEED environment variable
+All output is computed in memory, then written block by block to a
+temporary file that replaces the target, so a failing run never leaves a
+partial file behind. CSV numbers are exactly C's %.7g (7 significant
+digits); JSON carries full precision. A NaN variance is printed as
+"unstable" in CSV and null in JSON. The LODCDF_SEED environment variable
 supplies the default seed for simulate/sweep.
 """
 
@@ -54,37 +55,96 @@ from .simulation import (
 
 METHODS = ("product-limit", "rhr-mle", "crhf-exp")
 
-# CSV cells are formatted this many rows at a time, so a large table never
-# holds all of its cell strings at once.
+# CSV cells are rendered this many rows at a time, so a large table never
+# holds more than one block of cell bytes at once.
 _BLOCK_ROWS = 4096
 
+# Word tables for %.7g's fixed notation (decimal exponents -4..6), cells
+# being two little-endian 64-bit words of ASCII padded with NULs:
+# _QUAD[k] holds the four digits of k < 10**4, _MASK[k] the low k bytes.
+_QUAD = sum((48 + np.arange(10_000, dtype=np.uint64) // 10 ** (3 - j) % 10) << 8 * j for j in range(4))
+_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_ZEROS = np.uint64(int.from_bytes(b"0000000", "little"))
+_LEAD = np.uint64(int.from_bytes(b"0.000", "little"))
+_POW10 = 10.0 ** np.arange(11)  # exact: every power up to 10**22 is a double
 
-def _cells(column: np.ndarray) -> list[str]:
-    """CSV cells: integers as they are, floats to 7 significant digits, NaN as 'unstable'."""
+
+def _cells(column: np.ndarray | None, rows: int) -> np.ndarray:
+    """CSV cells as (rows, width) NUL-padded ASCII: a None column (one the
+    method does not provide) empty, integers as they are, floats as C's
+    %.7g with NaN as 'unstable'.
+
+    Positive floats with decimal exponent e in -4..6 (%.7g's fixed
+    notation) get their 7 digits from m = rint(x * 10**(6 - e)), which is
+    correctly rounded: the scaled value carries one rounding (under 2e-9),
+    and cells where it lies within 1e-6 of a half or outside [1e6, 1e7)
+    are formatted one by one, like zero, negatives, subnormals, inf, NaN
+    and other exponents.
+    """
+    if column is None:
+        return np.zeros((rows, 0), dtype=np.uint8)
     if column.dtype.kind in "biu":
-        return list(map(str, column.astype(np.int64).tolist()))
-    return ["unstable" if x != x else format(x, ".7g") for x in column.tolist()]
+        return column.astype(np.int64).astype("S20").view(np.uint8).reshape(rows, 20)
+    x = column.astype(np.float64)
+    cells = np.zeros((rows, 2), dtype="<u8")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(x))
+    fast = (e >= -4) & (e <= 6)  # NaN, inf, zero and negatives compare False
+    e = e[fast].astype(np.int64)
+    s = x[fast] * _POW10[6 - e]
+    m = np.rint(s)
+    exact = (s >= 1e6) & (m < 1e7) & (np.abs(s - np.floor(s) - 0.5) >= 1e-6)
+    fast[fast] = exact
+    e, m = e[exact], m[exact].astype(np.int64)
+    # The digits as bytes 0-6 of a word. XOR with ASCII "0"s leaves digit j
+    # in byte j, so the kept digits end at the highest nonzero byte.
+    digits = _QUAD[m // 1000] | (_QUAD[m % 1000] >> 8) << 32
+    kept = ((np.frexp((digits ^ _ZEROS).astype(np.float64))[1] + 7) // 8).astype(np.uint64)
+    # e >= 0: the p = e + 1 integer digits, ".", the rest ("." dropped when
+    # nothing follows it). e < 0: q = 1 - e bytes of "0.000", then the digits.
+    p = np.maximum(e + 1, 1).astype(np.uint64)
+    q = np.maximum(1 - e, 2).astype(np.uint64)
+    whole = np.maximum(kept, p)
+    point = e >= 0
+    length = np.where(point, whole + (whole > p), q + kept)
+    lo = np.where(point, (digits & _MASK[p]) | 46 << 8 * p | (digits >> 8 * p) << 8 * p + 8,
+                  _LEAD & _MASK[q] | digits << 8 * q)
+    hi = np.where(point, 0, digits >> 64 - 8 * q)
+    cells[fast, 0] = lo & _MASK[np.minimum(length, 8)]
+    cells[fast, 1] = hi & _MASK[np.maximum(length, 8) - 8]
+    cells = cells.view(np.uint8)
+    if not fast.all():
+        text = ["unstable" if v != v else format(v, ".7g") for v in x[~fast].tolist()]
+        cells[~fast] = np.array(text, dtype="S16").view(np.uint8).reshape(-1, 16)
+    return cells
 
 
 def _fmt(x: float | None) -> str:
     """One float as a CSV cell; None (a value the method does not provide) is empty."""
-    return "" if x is None else _cells(np.array([float(x)]))[0]
+    return "" if x is None else _cells(np.array([float(x)]), 1).tobytes().rstrip(b"\0").decode()
 
 
-def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> str:
-    """A CSV table: ``#`` header lines, the column names, one line per row.
+def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> list[bytes]:
+    """A CSV table as a list of ASCII blocks: ``#`` header lines and the
+    column names, then one line per row, ``_BLOCK_ROWS`` rows a block.
 
-    The first column sets the row count; a None column (one the method
-    does not provide) gives empty cells.
+    The first column sets the row count; a None column gives empty cells.
     """
     rows = len(next(iter(columns.values())))
-    parts = [*header, ",".join(columns)]
+    parts = [("\n".join([*header, ",".join(columns)]) + "\n").encode()]
     for start in range(0, rows, _BLOCK_ROWS):
-        block = slice(start, min(start + _BLOCK_ROWS, rows))
-        cells = [[""] * (block.stop - start) if c is None else _cells(c[block]) for c in columns.values()]
-        parts.extend(map(",".join, zip(*cells)))
-    parts.append("")  # the final newline, without copying the text again
-    return "\n".join(parts)
+        n = min(_BLOCK_ROWS, rows - start)
+        comma = np.full((n, 1), ord(","), np.uint8)
+        line = [part for c in columns.values()
+                for part in (_cells(c if c is None else c[start:start + n], n), comma)]
+        line[-1] = np.full((n, 1), ord("\n"), np.uint8)
+        parts.append(np.concatenate(line, axis=1).tobytes().translate(None, b"\0"))
+    return parts
+
+
+def _json(doc: dict) -> list[bytes]:
+    """A JSON document, indented, as the one block ``_emit`` writes."""
+    return [(json.dumps(doc, indent=2) + "\n").encode()]
 
 
 def _json_values(column: np.ndarray) -> list:
@@ -139,8 +199,8 @@ def _default_seed() -> int:
         raise InvalidParameterError(f"LODCDF_SEED must be an integer, got {raw!r}")
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write to stdout or to ``output``, following symlinks.
+def _emit(parts: list[bytes], output: str | None) -> None:
+    """Write the blocks ``parts`` in turn to stdout or to ``output``, following symlinks.
 
     A new file, or an existing regular file with one link that this user
     owns, is replaced in one step by a temporary file written next to it,
@@ -149,23 +209,23 @@ def _emit(text: str, output: str | None) -> None:
     hard-linked or another user's file) is opened and written in place.
     """
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(part.decode() for part in parts)
         return
     target = Path(os.path.realpath(output))
     st = target.stat() if target.exists() else None
     if st is not None and not (
         stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
     ):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(target, "wb") as fh:
+            fh.writelines(parts)
         return
     # Created exclusively: a file already at the temporary name is neither
     # written nor removed.
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
+    fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(parts)
         if st is not None:
             os.chmod(tmp, stat.S_IMODE(st.st_mode))
         os.replace(tmp, target)
@@ -176,7 +236,7 @@ def _emit(text: str, output: str | None) -> None:
 # ---------------------------------------------------------------- estimate
 
 
-def _estimate_csv(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -> str:
+def _estimate_csv(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -> list[bytes]:
     """One method's table (t, estimate, variance, stderr), or for all
     methods t, the estimates and the two standard errors; over the support
     unless evaluation points are given."""
@@ -214,14 +274,14 @@ def _step_json(f: StepCdf) -> dict:
     return out
 
 
-def _estimate_json(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -> str:
+def _estimate_json(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -> list[bytes]:
     doc: dict = {"n": n, "estimates": [_step_json(f) for f in fits.values()]}
     if points is not None:
         columns = {"t": points}
         for name, f in fits.items():
             columns[name], columns[f"{name}_variance"] = eval_cdf_at(f, points)
         doc["eval"] = _json_rows(columns)
-    return json.dumps(doc, indent=2) + "\n"
+    return _json(doc)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -253,14 +313,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.format == "json":
         means_doc = {policy: {"product_limit": a, "rhr_mle": b, "diff": a - b}
                      for policy, (a, b) in means.items()}
-        text = json.dumps({"n": dataset.n, "rows": _json_rows(columns), "means": means_doc}, indent=2) + "\n"
+        parts = _json({"n": dataset.n, "rows": _json_rows(columns), "means": means_doc})
     else:
         header = [f"# n: {dataset.n}"] + [
             f"# mean[{policy}]: product_limit={_fmt(a)} rhr_mle={_fmt(b)} diff={_fmt(a - b)}"
             for policy, (a, b) in means.items()
         ]
-        text = _csv(header, columns)
-    _emit(text, args.output)
+        parts = _csv(header, columns)
+    _emit(parts, args.output)
     return 0
 
 
@@ -300,7 +360,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.full:
         doc["pairs"] = [list(pair) for pair in zip(
             result.indices.tolist(), result.ks_product_limit.tolist(), result.ks_rhr_mle.tolist())]
-    _emit(json.dumps(doc, indent=2) + "\n", args.output)
+    _emit(_json(doc), args.output)
     return 0
 
 

@@ -16,17 +16,18 @@ minus RHR-MLE).
 Reproducibility contract: every replication owns two counter-based Philox
 substreams (lifetime draws and censoring draws), keyed by
 (seed, grid_point, replication, purpose); ``substream`` is the recipe.
-Normal variates come from the inverse CDF applied to centered 53-bit
-uniforms, so the recipe can be replayed in another language
-(statistically, not bit-exactly).
+Normal variates come from the inverse CDF applied to the 53-bit lattice
+uniforms (k + 1/2) / 2^53 (see ``_lognormal``), so the recipe can be
+replayed in another language (statistically, not bit-exactly).
 
 The study engine runs the replications in chunks of rows, one row per
 replication, in one process. It resets a single Philox to each
 replication's substream state, transforms and censors the whole chunk at
 once, and computes both estimators and their distances row-wise with the
-same arithmetic as ``tally``, ``product_limit_cdf``, ``rhr_mle_cdf`` and
-``ks_distance``. Its results are therefore bit-identical to fitting each
-replication on its own, and identical across runs.
+same arithmetic as ``tally``, ``product_limit_cdf`` and ``rhr_mle_cdf``.
+Its results are therefore bit-identical to fitting each replication on
+its own, and identical across runs. Public names: ``SimConfig``,
+``StudyResult``, ``run_study``, ``sweep``, ``substream``, the two errors.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import Dataset, _frozen
-from .estimators import LOG_PRODUCT_THRESHOLD, StepCdf
+from .data import _frozen
+from .estimators import LOG_PRODUCT_THRESHOLD
 
 # Purpose slots inside a replication's key space.
 LIFETIME_DRAWS = 0
@@ -93,46 +94,12 @@ def substream(seed: int, replication: int, purpose: int, grid_point: int = 0) ->
 def _lognormal(mu: float, sigma: float, k: np.ndarray) -> np.ndarray:
     """Log-normal(mu, sigma) values of 53-bit integers k, elementwise.
 
-    Uniforms are (k + 1/2) / 2^53, which keeps the quantile function away
-    from both endpoints.
+    Uniforms are (k + 1/2) / 2^53, clamped below 1.0 so k = 2^53 - 1 keeps
+    a finite quantile. For k >= 2^52, k + 1/2 rounds to an integer: the
+    upper half of the lattice is not centred, kept so for existing outputs.
     """
     u = (k.astype(np.float64) + 0.5) / float(1 << 53)
-    return np.exp(mu + sigma * ndtri(u))
-
-
-def sample_lognormal(mu: float, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n log-normal(mu, sigma) draws via the inverse normal CDF."""
-    if sigma <= 0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    return _lognormal(mu, sigma, rng.integers(0, 1 << 53, size=int(n), dtype=np.int64))
-
-
-def apply_time_censoring(lifetimes: np.ndarray, lods: tuple[float, ...], rng: np.random.Generator) -> Dataset:
-    """Censor each lifetime at an LOD drawn uniformly from ``lods``.
-
-    The recorded value is max(T, C) and the observation counts as detected
-    when T >= C (a lifetime exactly at its LOD is a detection).
-    """
-    lifetimes = np.asarray(lifetimes, dtype=np.float64)
-    lods = np.asarray(lods, dtype=np.float64)
-    if lods.size == 0:
-        raise InvalidParameterError("lods must be non-empty")
-    drawn = lods[rng.integers(0, lods.size, size=lifetimes.size)]
-    return Dataset.from_arrays(np.maximum(lifetimes, drawn), lifetimes >= drawn)
-
-
-def apply_random_censoring(lifetimes: np.ndarray, mu_c: float, sigma_c: float, rng: np.random.Generator) -> Dataset:
-    """Censor each lifetime at an independent log-normal(mu_c, sigma_c) threshold."""
-    lifetimes = np.asarray(lifetimes, dtype=np.float64)
-    thresholds = sample_lognormal(mu_c, sigma_c, lifetimes.size, rng)
-    return Dataset.from_arrays(np.maximum(lifetimes, thresholds), lifetimes >= thresholds)
-
-
-def ks_distance(f: StepCdf, mu: float, sigma: float) -> float:
-    """Largest |F_lognormal(t) - F̂(t)| over the estimate's jump points."""
-    with np.errstate(divide="ignore"):
-        z = (np.log(f.support) - mu) / sigma
-    return float(np.max(np.abs(ndtr(z) - f.values)))
+    return np.exp(mu + sigma * ndtri(np.minimum(u, np.nextafter(1.0, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -247,12 +214,13 @@ def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both estimators' KS distances for each row of a (rows, n) sample.
 
-    Returns (product-limit, RHR-MLE, has_jump). Each row gets the value
-    that ``tally``, ``product_limit_cdf``/``rhr_mle_cdf`` and
-    ``ks_distance`` give it, bit for bit: the per-value counts d, q and y
-    are formed as in ``TallyTable.jumps()``, the factors use the same
-    expressions, and the suffix products run over the same factors in the
-    same order, with exact factors of 1.0 at positions that are not jumps.
+    Returns (product-limit, RHR-MLE, has_jump). Each row gets the largest
+    gap |F(t) - F̂(t)| over the jumps of its ``tally`` and
+    ``product_limit_cdf``/``rhr_mle_cdf`` fit, bit for bit: the per-value
+    counts d, q and y are formed as in ``TallyTable.jumps()``, the factors
+    use the same expressions, and the suffix products run over the same
+    factors in the same order, with exact factors of 1.0 at positions that
+    are not jumps.
     A row without a detected value has no jump (has_jump False, distances
     0).
     """

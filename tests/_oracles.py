@@ -13,11 +13,14 @@ reverse Kaplan-Meier of Gillespie et al. 2010). They use the package's
 `Dataset` and `StepCdf` only as containers: reading values and flags in,
 and handing a step function back; no tally or estimator code.
 
-The last two are float references built from the package's own parts:
+The last ones are float references built from the package's own parts:
 `rhr_table` reads the reversed-hazard rates off `TallyTable.jumps()`, and
 `_replicate` runs one simulation replication the scalar way (one
 `Dataset`, one `tally`, two estimators, two `ks_distance` calls), the
-reference the batched study engine must match bit for bit.
+reference the batched study engine must match bit for bit. Its parts
+`sample_lognormal`, `apply_time_censoring`, `apply_random_censoring` and
+`ks_distance` draw and censor one sample from a replication's substreams
+and measure one estimate's distance from the truth.
 
 `fmt_cell` formats one CSV cell on its own, the reference for the CLI's
 column renderer.
@@ -31,23 +34,21 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.special import ndtr
 
 from lodcdf import (
     AllCensoredError,
     Dataset,
+    InvalidParameterError,
     SimConfig,
     StepCdf,
     TallyTable,
-    apply_random_censoring,
-    apply_time_censoring,
-    ks_distance,
     product_limit_cdf,
     rhr_mle_cdf,
-    sample_lognormal,
     substream,
     tally,
 )
-from lodcdf.simulation import CENSORING_DRAWS, LIFETIME_DRAWS
+from lodcdf.simulation import CENSORING_DRAWS, LIFETIME_DRAWS, _lognormal
 
 
 @dataclass(frozen=True)
@@ -281,6 +282,41 @@ def rhr_table(table: TallyTable) -> RhrTable:
     return RhrTable(values, exact / (at_or_below - censored))
 
 
+def sample_lognormal(mu: float, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n log-normal(mu, sigma) draws via the inverse normal CDF."""
+    if sigma <= 0:
+        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
+    return _lognormal(mu, sigma, rng.integers(0, 1 << 53, size=int(n), dtype=np.int64))
+
+
+def apply_time_censoring(lifetimes: np.ndarray, lods: tuple[float, ...], rng: np.random.Generator) -> Dataset:
+    """Censor each lifetime at an LOD drawn uniformly from ``lods``.
+
+    The recorded value is max(T, C) and the observation counts as detected
+    when T >= C (a lifetime exactly at its LOD is a detection).
+    """
+    lifetimes = np.asarray(lifetimes, dtype=np.float64)
+    lods = np.asarray(lods, dtype=np.float64)
+    if lods.size == 0:
+        raise InvalidParameterError("lods must be non-empty")
+    drawn = lods[rng.integers(0, lods.size, size=lifetimes.size)]
+    return Dataset.from_arrays(np.maximum(lifetimes, drawn), lifetimes >= drawn)
+
+
+def apply_random_censoring(lifetimes: np.ndarray, mu_c: float, sigma_c: float, rng: np.random.Generator) -> Dataset:
+    """Censor each lifetime at an independent log-normal(mu_c, sigma_c) threshold."""
+    lifetimes = np.asarray(lifetimes, dtype=np.float64)
+    thresholds = sample_lognormal(mu_c, sigma_c, lifetimes.size, rng)
+    return Dataset.from_arrays(np.maximum(lifetimes, thresholds), lifetimes >= thresholds)
+
+
+def ks_distance(f: StepCdf, mu: float, sigma: float) -> float:
+    """Largest |F_lognormal(t) - F̂(t)| over the estimate's jump points."""
+    with np.errstate(divide="ignore"):
+        z = (np.log(f.support) - mu) / sigma
+    return float(np.max(np.abs(ndtr(z) - f.values)))
+
+
 def _replicate(cfg: SimConfig, grid_point: int, rep: int) -> tuple[float, float] | None:
     """One replication; None when the sample comes out fully censored."""
     rng_t = substream(cfg.seed, rep, LIFETIME_DRAWS, grid_point)
@@ -299,10 +335,13 @@ def _replicate(cfg: SimConfig, grid_point: int, rep: int) -> tuple[float, float]
     return ks_distance(f_pl, cfg.mu, cfg.sigma), ks_distance(f_rhr, cfg.mu, cfg.sigma)
 
 
-def fmt_cell(x: float | None) -> str:
-    """One CSV cell: 7 significant digits, NaN as 'unstable', None empty."""
+def fmt_cell(x: float | int | None) -> str:
+    """One CSV cell: floats to 7 significant digits, NaN as 'unstable',
+    integers and flags as integers, None empty."""
     if x is None:
         return ""
+    if isinstance(x, (bool, int)):
+        return str(int(x))
     if isinstance(x, float) and math.isnan(x):
         return "unstable"
     return format(float(x), ".7g")

@@ -205,6 +205,59 @@ def test_csv_blocks_join_into_one_table(tmp_path, monkeypatch):
     assert blocked.read_text() == whole.read_text()
 
 
+def _rendered(columns, block_rows):
+    """The data rows ``cli._csv`` renders for ``columns``, ``block_rows`` rows a block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK_ROWS", block_rows)
+        return _table_rows(b"".join(cli._csv(["# test"], columns)).decode())
+
+
+def _adversarial_floats() -> np.ndarray:
+    """Values where %.7g rounds at a half or changes notation, for every
+    decimal exponent of its fixed notation (-4..6) and its neighbours."""
+    out = []
+    for e in range(-5, 8):
+        k = np.array([10_000_005, 12_345_675, 50_000_005, 99_999_995, 99_999_985])
+        halves = k * 10.0 ** (e - 7)  # 8 significant digits ending in 5
+        powers = np.array([10.0 ** e])
+        for v in (halves, powers, np.array([9_999_999.5 * 10.0 ** (e - 6)])):
+            out += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    out.append(np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan,
+                         1.7976931348623157e308, 0.5, 1.0]))
+    x = np.concatenate(out)
+    return np.concatenate([x, -x])
+
+
+FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(1e-5, 1e7),
+    st.builds(lambda k, e: k * 10.0 ** e, st.integers(-10**9, 10**9), st.integers(-14, 8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(FLOAT_CELLS, st.integers(-2**63, 2**63 - 1), st.booleans()),
+                min_size=1, max_size=40),
+       st.sampled_from([1, 3, 4096]))
+def test_rendered_cells_are_the_scalar_format(rows, block_rows):
+    """Float, integer, flag and None columns render cell by cell as the
+    scalar oracle formats them, whatever the block size; ``_fmt`` too."""
+    floats, ints, flags = (list(c) for c in zip(*rows))
+    columns = {"x": np.array(floats), "n": np.array(ints, dtype=np.int64),
+               "tie": np.array(flags), "none": None}
+    expected = [",".join(map(fmt_cell, (x, n, b, None))) for x, n, b in rows]
+    assert _rendered(columns, block_rows) == expected
+    assert [cli._fmt(x) for x in floats] == list(map(fmt_cell, floats))
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 4096])
+def test_rendered_cells_match_at_rounding_edges(block_rows):
+    x = _adversarial_floats()
+    expected = [fmt_cell(v) for v in x.tolist()]
+    assert _rendered({"x": x}, block_rows) == expected
+    assert [cli._fmt(v) for v in x.tolist()] == expected
+
+
 def test_negative_zero_prints_as_minus_zero(capsys, tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("value,detected\n-0.0,1\n1,0\n2,1\n")
@@ -242,6 +295,42 @@ def test_output_write_failure_keeps_existing_file(capsys, tmp_path, monkeypatch)
     code, out, err = run(capsys, "estimate", str(SIX), "--output", str(out_path))
     assert code == 2
     assert "disk full" in err
+    assert out_path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
+
+
+def test_failed_block_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "est.csv"
+    out_path.write_text("previous\n")
+    real_open = open
+    written = []
+
+    class FailAfterFirstBlock:
+        """A file whose writelines writes one block, then fails."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, parts):
+            parts = iter(parts)
+            self.fh.write(next(parts))
+            self.fh.flush()
+            written.append(self.fh.name)
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(cli, "open", FailAfterFirstBlock, raising=False)
+    code, out, err = run(capsys, "estimate", str(FIXTURES / "groundwater_reconstructed.csv"),
+                         "--method", "all", "--output", str(out_path))
+    assert code == 2
+    assert "disk full" in err
+    assert [os.path.basename(name) for name in written] == [f".est.csv.{os.getpid()}.tmp"]
     assert out_path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
 

@@ -2,27 +2,29 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from lodcdf import (
     InvalidParameterError,
     SimConfig,
     StepCdf,
     StudyDegenerateError,
-    apply_random_censoring,
-    apply_time_censoring,
-    ks_distance,
     product_limit_cdf,
     rhr_mle_cdf,
     run_study,
-    sample_lognormal,
     substream,
     sweep,
     tally,
 )
-from lodcdf.simulation import CENSORING_DRAWS, LIFETIME_DRAWS
+from lodcdf.simulation import CENSORING_DRAWS, LIFETIME_DRAWS, _lognormal
 
-from _oracles import _replicate
+from _oracles import (
+    _replicate,
+    apply_random_censoring,
+    apply_time_censoring,
+    ks_distance,
+    sample_lognormal,
+)
 
 
 # ------------------------------------------------------------- substreams
@@ -54,6 +56,17 @@ def test_substream_validates_ranges():
 
 
 # ---------------------------------------------------------------- samplers
+# sample_lognormal, the censoring schemes and ks_distance are the scalar
+# references in _oracles; the study engine draws through _lognormal.
+
+
+def test_lattice_top_stays_finite_and_other_keys_unchanged():
+    top = (1 << 53) - 1
+    assert np.isfinite(_lognormal(0.0, 1.0, np.array([top], dtype=np.int64))).all()
+    keys = np.concatenate([np.array([0, 1, 1 << 52, top - 1], dtype=np.int64),
+                           np.random.default_rng(3).integers(0, top, 64, dtype=np.int64)])
+    unclamped = np.exp(0.5 + 2.0 * ndtri((keys.astype(np.float64) + 0.5) / float(1 << 53)))
+    assert _lognormal(0.5, 2.0, keys).tobytes() == unclamped.tobytes()
 
 
 def test_lognormal_degenerate_scale():

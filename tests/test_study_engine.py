@@ -2,8 +2,9 @@
 
 `run_study` fills chunks of replications as rows and fits them row-wise;
 `_oracles._replicate` builds one Dataset per replication and runs the
-package's tally, estimators and `ks_distance` on it. The two must agree
-exactly, on every replication and on which replications are degenerate.
+package's tally and estimators and `_oracles.ks_distance` on it. The two
+must agree exactly, on every replication and on which replications are
+degenerate.
 """
 
 from itertools import product
@@ -19,7 +20,6 @@ from lodcdf import (
     InvalidParameterError,
     SimConfig,
     StudyDegenerateError,
-    ks_distance,
     product_limit_cdf,
     rhr_mle_cdf,
     run_study,
@@ -28,7 +28,7 @@ from lodcdf import (
 )
 from lodcdf import simulation
 
-from _oracles import _replicate
+from _oracles import _replicate, ks_distance
 
 SIGMAS = st.one_of(st.sampled_from([1e-300, 1e-12, 0.5, 1.0, 15.0]),
                    st.floats(0.01, 20.0))
