@@ -29,6 +29,7 @@ import os
 import stat
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -143,15 +144,69 @@ def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> list[bytes
 
 
 def _json(doc: dict) -> list[bytes]:
-    """A JSON document, indented, as the one block ``_emit`` writes."""
-    return [(json.dumps(doc, indent=2) + "\n").encode()]
+    """``json.dumps(doc, indent=2)`` plus a newline, as the one block ``_emit`` writes."""
+    parts: list[str] = []
+    _indented(doc, "\n", parts)
+    parts.append("\n")
+    return ["".join(parts).encode()]
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _indented(obj, nl: str, parts: list[str]) -> None:
+    """Append ``json.dumps(obj, indent=2)`` for a value whose lines start with ``nl``.
+
+    The indented encoder is pure Python. Lists of scalars, and lists of
+    flat dicts or lists (row tables), therefore go through the C encoder,
+    whose item separator carries the line break and indent. A raw line
+    break never occurs inside an encoded string, so the separators between
+    the rows of a table can be found and re-indented with one replace.
+    Dict keys are strings, as in every document the commands write.
+    """
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj:
+        parts.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            parts.append(("," if i else "") + inner + json.dumps(key) + ": ")
+            _indented(value, inner, parts)
+        parts.append(nl + "}")
+        return
+    if not (isinstance(obj, (list, tuple)) and obj):
+        parts.append(json.dumps(obj))
+        return
+    kinds = set(map(type, obj))
+    if kinds <= _SCALARS:
+        parts += ("[" + inner, _c_encoded(obj, inner)[1:-1], nl + "]")
+        return
+    if kinds == {dict} or kinds <= {list, tuple}:
+        row_items = map(dict.values, obj) if kinds == {dict} else obj
+        if all(obj) and set(map(type, chain.from_iterable(row_items))) <= _SCALARS:
+            opening, closing = "{}" if kinds == {dict} else "[]"
+            row = inner + "  "
+            body = _c_encoded(obj, row)[2:-2].replace(
+                closing + "," + row + opening, inner + closing + "," + inner + opening + row)
+            parts += ("[" + inner + opening + row, body, inner + closing + nl + "]")
+            return
+    parts.append("[")
+    for i, value in enumerate(obj):
+        parts.append(("," if i else "") + inner)
+        _indented(value, inner, parts)
+    parts.append(nl + "]")
+
+
+def _c_encoded(obj, line: str) -> str:
+    """``obj`` compactly encoded with ``"," + line`` between items."""
+    return json.JSONEncoder(separators=("," + line, ": ")).encode(obj)
 
 
 def _json_values(column: np.ndarray) -> list:
     """A column as JSON values, non-finite floats as null."""
-    if column.dtype.kind != "f":
-        return column.tolist()
-    return [x if math.isfinite(x) else None for x in column.tolist()]
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            values[i] = None
+    return values
 
 
 def _json_safe(x: float | None) -> float | None:

@@ -128,6 +128,78 @@ def test_estimate_json_round_trips_to_the_fit(tmp_path_factory, pairs, scale):
             assert np.array_equal(variances, fit.variances, equal_nan=True)
 
 
+def _not_json(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def _json_docs(monkeypatch, argv) -> list:
+    """The documents ``main(argv)`` hands to ``cli._json``, each checked to
+    render as ``json.dumps(doc, indent=2)`` plus a newline, byte for byte."""
+    docs, render = [], cli._json
+
+    def checked(doc):
+        docs.append(doc)
+        rendered = b"".join(render(doc))
+        assert rendered == (json.dumps(doc, indent=2) + "\n").encode()
+        json.loads(rendered, parse_constant=_not_json)  # NaN and inf are null
+        return [rendered]
+
+    monkeypatch.setattr(cli, "_json", checked)
+    assert main(argv) == 0
+    return docs
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_lists(), st.sampled_from([1.0, 0.1, 1e-7, 3e5]), st.booleans(),
+       st.sampled_from(METHODS + ("all",)))
+def test_estimate_and_compare_json_are_the_indented_dump(tmp_path_factory, pairs, scale,
+                                                         at_points, method):
+    """Both commands' JSON, with ties, zeros, null variances and an eval
+    table, is ``json.dumps(doc, indent=2)`` byte for byte."""
+    workdir = tmp_path_factory.mktemp("json")
+    data, out = workdir / "data.csv", workdir / "out.json"
+    data.write_text("value,detected\n" + "".join(f"{v * scale!r},{int(flag)}\n" for v, flag in pairs))
+    points = ["--eval-points", "0,0.5,1,2.5,100"] if at_points else []
+    with pytest.MonkeyPatch.context() as mp:
+        (doc,) = _json_docs(mp, ["estimate", str(data), "--method", method, "--format", "json",
+                                 "--output", str(out), *points])
+        assert ("eval" in doc) == at_points
+        (doc,) = _json_docs(mp, ["compare", str(data), "--format", "json", "--output", str(out)])
+        assert len(doc["rows"]) >= 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["time", "random"]), st.integers(4, 12), st.integers(2, 30),
+       st.integers(0, 2**64 - 1))
+def test_simulate_full_json_is_the_indented_dump(tmp_path_factory, scheme, n, m, seed):
+    out = tmp_path_factory.mktemp("sim") / "sim.json"
+    with pytest.MonkeyPatch.context() as mp:
+        # mu = 2 puts most lifetimes above the LODs, so studies are not degenerate
+        (doc,) = _json_docs(mp, ["simulate", "--mu", "2", "--sigma", "1", "--scheme", scheme,
+                                 "--n", str(n), "--m", str(m), "--seed", str(seed), "--full",
+                                 "--output", str(out)])
+    assert len(doc["pairs"]) == doc["n_pairs"]
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+                         st.text(alphabet='{}[],:"\\ \n\tab\u00e9\u2028', max_size=6))
+JSON_ROWS = st.lists(st.dictionaries(st.text(alphabet='{}",\n ab', max_size=3), JSON_SCALARS,
+                                     min_size=1, max_size=4)
+                     | st.lists(JSON_SCALARS, min_size=1, max_size=4), max_size=5)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | JSON_ROWS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+def test_json_layout_is_the_indented_dump(doc):
+    """Nested and empty containers, row tables and strings holding
+    brackets, separators and line breaks lay out as the indented dump."""
+    assert b"".join(cli._json(doc)) == (json.dumps(doc, indent=2) + "\n").encode()
+
+
 def test_estimate_unstable_variance_rendering(capsys, tmp_path):
     # every observation at or below the first exact value is exact there:
     # the variance below the first jump is the 0*inf sentinel

@@ -277,3 +277,32 @@ def test_tally_is_a_partition(data):
         assert int(np.sum(d.detected() & (d.values() == v))) == e
         assert int(np.sum(~d.detected() & (d.values() == v))) == c
         assert int(np.sum(d.values() <= v)) == y
+
+
+def _dict_tally(values, detected):
+    """Distinct values ascending with their exact and censored counts, by
+    plain dict grouping; -0.0 and 0.0 are one key, as they compare equal."""
+    counts: dict[float, list[int]] = {}
+    for v, d in zip(values, detected):
+        counts.setdefault(v, [0, 0])[0 if d else 1] += 1
+    keys = sorted(counts)
+    return keys, [counts[k][0] for k in keys], [counts[k][1] for k in keys]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, 1e-300, 5e-324, 1e300])
+                          | st.floats(0.0, 10.0), st.booleans()), min_size=1, max_size=40),
+       st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]), max_size=6))
+def test_tally_groups_like_a_dict_count(pairs, censored_only):
+    """Repeated values, -0.0 next to 0.0 and values tied only among
+    censored rows group exactly as a dict count does."""
+    pairs = pairs + [(v, False) for v in censored_only for _ in range(2)]
+    if not any(d for _, d in pairs):
+        pairs.append((1.0, True))
+    values, detected = zip(*pairs)
+    t = tally(Dataset.from_pairs(pairs))
+    keys, exact, censored = _dict_tally(values, detected)
+    assert t.values.tolist() == keys
+    assert t.exact.tolist() == exact
+    assert t.censored.tolist() == censored
+    assert t.at_or_below.tolist() == np.cumsum(np.add(exact, censored)).tolist()

@@ -142,33 +142,76 @@ def test_row_kernel_separates_the_estimators_like_the_scalar_path():
     assert differing >= 500
 
 
-# ---------------------------------------------------------- substream reset
+# --------------------------------------------------------- raw Philox words
 
 
 EDGE_KEYS = list(product((0, (1 << 64) - 1), (0, (1 << 16) - 1), (0, 15)))
-DRAWS = [
-    lambda r: r.integers(0, 1 << 53, size=7, dtype=np.int64),
-    lambda r: r.integers(0, 3, size=7),
-    # 32-bit draws leave half a 64-bit word cached in the bit generator
-    lambda r: r.integers(0, 1 << 31, size=3, dtype=np.int32),
-]
+EDGE_REPS = (range(0, 3), range((1 << 44) - 3, 1 << 44))
 
 
 @pytest.mark.parametrize("seed,grid_point,purpose", EDGE_KEYS)
-def test_state_reset_draws_what_substream_draws(seed, grid_point, purpose):
-    rng = np.random.Generator(np.random.Philox(key=12345))
-    rng.random(5)  # a used generator: the reset must not depend on its state
-    for reps in (range(0, 3), range((1 << 44) - 3, 1 << 44)):
-        for draw in DRAWS:
-            rows = simulation._draw_rows(rng, seed, grid_point, reps, purpose, draw)
-            expected = [draw(substream(seed, rep, purpose, grid_point)) for rep in reps]
-            assert np.array_equal(rows, np.stack(expected))
+def test_philox_words_equal_substream_raw_words(seed, grid_point, purpose):
+    for reps in EDGE_REPS:
+        for words in (1, 4, 5, 13):
+            raw = simulation._philox_words(seed, grid_point, reps, (purpose,), words)
+            assert raw.shape == (1, len(reps), words) and raw.dtype == np.uint64
+            for row, rep in zip(raw[0], reps):
+                expected = substream(seed, rep, purpose, grid_point).bit_generator.random_raw(words)
+                assert np.array_equal(row, expected)
 
 
-def test_state_reset_validates_keys_like_substream():
-    rng = np.random.Generator(np.random.Philox(key=0))
-    for seed, rep, purpose, grid_point in [(1 << 64, 0, 0, 0), (0, 1 << 44, 0, 0),
-                                           (0, 0, 16, 0), (0, 0, 0, 1 << 16)]:
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("n", [5, 21, 50])
+def test_chunk_draws_equal_substream_integers(k, n):
+    """53-bit and k-LOD draws; an odd n leaves half a word over."""
+    purposes = (simulation.LIFETIME_DRAWS, simulation.CENSORING_DRAWS)
+    for seed, grid_point in [(0, 0), ((1 << 64) - 1, (1 << 16) - 1), (12345, 7)]:
+        for reps in EDGE_REPS:
+            lifetime_raw, censoring_raw = simulation._philox_words(seed, grid_point, reps, purposes, n)
+            lods = simulation._bounded_rows(censoring_raw, k, n, seed, grid_point, reps)
+            for rep, top, lod in zip(reps, lifetime_raw >> 11, lods):
+                lifetime = substream(seed, rep, purposes[0], grid_point)
+                censoring = substream(seed, rep, purposes[1], grid_point)
+                assert np.array_equal(top, lifetime.integers(0, 1 << 53, size=n, dtype=np.int64))
+                assert np.array_equal(lod, censoring.integers(0, k, size=n))
+
+
+def test_philox_words_validate_keys_like_substream():
+    for seed, reps, purpose, grid_point in [(1 << 64, range(0, 1), 0, 0), (-1, range(0, 1), 0, 0),
+                                            (0, range((1 << 44) - 1, (1 << 44) + 1), 0, 0),
+                                            (0, range(-1, 2), 0, 0), (0, range(0, 1), 16, 0),
+                                            (0, range(0, 1), 0, 1 << 16)]:
         with pytest.raises(InvalidParameterError):
-            simulation._draw_rows(rng, seed, grid_point, range(rep, rep + 1), purpose,
-                                  lambda r: r.random())
+            simulation._philox_words(seed, grid_point, reps, (0, purpose), 4)
+
+
+def test_rejecting_rows_are_drawn_through_substream(monkeypatch):
+    """A real rejection is about one draw in 2**32, so the threshold is
+    patched to reject about half of all draws; every row still equals
+    ``substream``'s."""
+    calls = []
+
+    def counted(*key):
+        calls.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(simulation, "_lemire_threshold", lambda k: 1 << 31)
+    monkeypatch.setattr(simulation, "substream", counted)
+    for k in (1, 3):
+        reps = range(5, 25)
+        raw = simulation._philox_words(9, 4, reps, (simulation.CENSORING_DRAWS,), 11)[0]
+        lods = simulation._bounded_rows(raw, k, 11, 9, 4, reps)
+        for rep, row in zip(reps, lods):
+            assert np.array_equal(row, substream(9, rep, simulation.CENSORING_DRAWS, 4).integers(0, k, size=11))
+    assert len(calls) == 2 * len(reps)
+    assert_matches_scalar(SimConfig(mu=0.0, sigma=1.0, scheme="time", n=7, m=30, seed=2), 3)
+    assert len(calls) > 2 * len(reps)
+
+
+@pytest.mark.parametrize("cells", [7, 64])
+@pytest.mark.parametrize("scheme", ["time", "random"])
+def test_small_chunks_do_not_change_results(monkeypatch, cells, scheme):
+    """Chunks of a few rows cross many boundaries and end in a partial chunk."""
+    monkeypatch.setattr(simulation, "_CHUNK_CELLS", cells)
+    for n in (3, 9):
+        assert_matches_scalar(SimConfig(mu=0.2, sigma=1.1, scheme=scheme, n=n, m=45, seed=11), 2)
