@@ -53,6 +53,10 @@ class Dataset:
             raise ValueError("dataset values and flags must be numbers")
         if values.ndim != 1 or values.shape != detected.shape:
             raise ValueError("dataset values and flags must be 1-D arrays of equal length")
+        if detected.dtype.kind != "b":
+            odd = (detected != 0) & (detected != 1)  # NaN is neither
+            if odd.any():
+                raise ValueError(f"detection flag must be 0 or 1, got {detected[odd][0].item()!r}")
         if not values.size:
             raise ValueError("dataset needs at least one observation")
         values = _frozen(values.astype(np.float64))
@@ -68,10 +72,6 @@ class Dataset:
     def from_pairs(cls, pairs: Iterable[tuple[float, bool]]) -> "Dataset":
         pairs = list(pairs)
         return cls([v for v, _ in pairs], [d for _, d in pairs])
-
-    @classmethod
-    def from_arrays(cls, values: np.ndarray, detected: np.ndarray) -> "Dataset":
-        return cls(values, detected)
 
     @property
     def n(self) -> int:
@@ -248,11 +248,27 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
     return Dataset(np.concatenate(values), np.concatenate(detected))
 
 
+def _runs(values: np.ndarray, detected: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort along the last axis and mark the runs of equal values.
+
+    Returns (sorted values, running detected count, last), ``last`` being
+    True at the last position of each distinct value. The sort need not be
+    stable: the counts at the end of a run do not depend on the order
+    inside it.
+    """
+    order = np.argsort(values, axis=-1)
+    sorted_values = np.take_along_axis(values, order, axis=-1)
+    exact_cum = np.cumsum(np.take_along_axis(detected, order, axis=-1), axis=-1)
+    last = np.ones(values.shape, dtype=bool)
+    last[..., :-1] = sorted_values[..., 1:] != sorted_values[..., :-1]
+    return sorted_values, exact_cum, last
+
+
 def tally(dataset: Dataset) -> TallyTable:
     """Group a dataset by distinct value into ascending count rows."""
-    values = dataset.values()
-    detected = dataset.detected()
-    uniq, inverse = np.unique(values, return_inverse=True)
-    exact = np.bincount(inverse[detected], minlength=uniq.size)
-    censored = np.bincount(inverse[~detected], minlength=uniq.size)
-    return TallyTable(uniq, exact, censored, np.cumsum(exact + censored))
+    values, exact_cum, last = _runs(dataset.values(), dataset.detected())
+    ends = np.flatnonzero(last)
+    exact = np.diff(exact_cum[ends], prepend=0)
+    total = np.diff(ends, prepend=-1)
+    # -0.0 and 0.0 share a run; the run's first value names its row.
+    return TallyTable(values[ends - total + 1], exact, total - exact, ends + 1)

@@ -28,10 +28,6 @@ __all__ = ["StepCdf", "product_limit_cdf", "rhr_mle_cdf", "crhf_exp_cdf", "green
            "rhr_variance", "eval_cdf", "eval_cdf_at", "mean_from_cdf", "quantile_from_cdf",
            "LeftoverPolicy"]
 
-# Products switch to log-space accumulation when any nonzero factor drops
-# below this; exact zeros are handled exactly by either path.
-LOG_PRODUCT_THRESHOLD = 1e-8
-
 LeftoverPolicy = Literal["at-first-exact", "at-zero"]
 
 
@@ -86,34 +82,17 @@ class StepCdf:
         return int(self.support.size)
 
 
-def _tail_products(factors: np.ndarray) -> tuple[np.ndarray, float]:
-    """Suffix products of a factor sequence.
+def _tail_products(terms: np.ndarray, op: np.ufunc = np.multiply) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix reductions under ``op`` along the last axis of ``terms``.
 
-    Returns (levels, lower) with levels[k] = prod(factors[k+1:]) and
-    lower = prod(factors). Accumulates in log space only when some nonzero
-    factor is below LOG_PRODUCT_THRESHOLD; both paths agree to 1e-12
-    relative on nonzero results and are exact on zeros.
+    Returns (tail, total) with tail[..., k] = op over terms[..., k+1:]
+    (``op.identity`` for the last k) and total = op over all of terms,
+    accumulated from the last term down in one pass.
     """
-    positive = factors[factors > 0.0]
-    if positive.size and float(positive.min()) < LOG_PRODUCT_THRESHOLD:
-        with np.errstate(divide="ignore"):
-            logs = np.log(factors)
-        running = np.cumsum(logs[::-1])[::-1]
-        suffix = np.exp(running)
-    else:
-        suffix = np.cumprod(factors[::-1])[::-1]
-    levels = np.append(suffix[1:], 1.0)
-    return levels, float(suffix[0])
-
-
-def _tail_sums(terms: np.ndarray) -> tuple[np.ndarray, float]:
-    """Suffix sums of a term sequence, the additive twin of _tail_products.
-
-    Returns (tail, total) with tail[k] = sum(terms[k+1:]) and
-    total = sum(terms).
-    """
-    running = np.cumsum(terms[::-1])[::-1]
-    return np.append(running[1:], 0.0), float(running[0])
+    suffix = op.accumulate(terms[..., ::-1], axis=-1)[..., ::-1]
+    tail = np.full_like(suffix, op.identity)
+    tail[..., :-1] = suffix[..., 1:]
+    return tail, suffix[..., 0]
 
 
 def product_limit_cdf(table: TallyTable) -> StepCdf:
@@ -152,7 +131,7 @@ def crhf_exp_cdf(table: TallyTable) -> StepCdf:
     and pointwise >= the product-limit estimate.
     """
     values, exact, _, at_or_below = table.jumps()
-    tail, total = _tail_sums(exact / at_or_below)
+    tail, total = _tail_products(exact / at_or_below, np.add)
     return StepCdf(values, np.exp(-tail), float(np.exp(-total)), "crhf-exp")
 
 
@@ -168,10 +147,10 @@ def greenwood_variance(table: TallyTable, f: StepCdf) -> StepCdf:
     if f.method != "product-limit" or not np.array_equal(f.support, values):
         raise ValueError("f must be the product-limit StepCdf of the same tally")
     with np.errstate(divide="ignore"):
-        tail, total = _tail_sums(exact / (at_or_below * (at_or_below - exact)))
+        tail, total = _tail_products(exact / (at_or_below * (at_or_below - exact)), np.add)
     with np.errstate(invalid="ignore"):
         variances = f.values**2 * tail
-        lower_variance = f.lower_value**2 * total
+        lower_variance = f.lower_value**2 * float(total)
     return replace(f, variances=variances, lower_variance=lower_variance)
 
 
@@ -189,7 +168,7 @@ def rhr_variance(table: TallyTable, f: StepCdf) -> StepCdf:
         raise ValueError("f must be the rhr-mle StepCdf of the same tally")
     prev_cum = np.concatenate(([0], at_or_below[:-1]))
     with np.errstate(divide="ignore"):
-        tail, _ = _tail_sums(exact / (prev_cum * (at_or_below - censored)))
+        tail, _ = _tail_products(exact / (prev_cum * (at_or_below - censored)), np.add)
     variances = f.values**2 * tail
     return replace(f, variances=variances, lower_variance=0.0)
 

@@ -28,11 +28,13 @@ bits of each word, and a limit-of-detection index is Lemire's bounded
 draw on a word's 32-bit halves; the rare row whose bounded draw would be
 rejected and redrawn is drawn through ``substream`` itself. The engine
 then transforms and censors the whole chunk at once, and computes both
-estimators and their distances row-wise with the same arithmetic as
-``tally``, ``product_limit_cdf`` and ``rhr_mle_cdf``. Its results are
-therefore bit-identical to fitting each replication on its own, and
-identical across runs. Public names: ``SimConfig``,
-``StudyResult``, ``run_study``, ``sweep``, ``substream``, the two errors.
+estimators and their distances row-wise through the code ``tally`` and
+the estimators run on one sample: ``data._runs`` sorts and groups every
+row, and ``estimators._tail_products`` takes the suffix products along
+the rows. Its results are therefore bit-identical to fitting each
+replication on its own, and identical across runs. Public names:
+``SimConfig``, ``StudyResult``, ``run_study``, ``sweep``, ``substream``,
+the two errors.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import _frozen
-from .estimators import LOG_PRODUCT_THRESHOLD
+from .data import _frozen, _runs
+from .estimators import _tail_products
 
 # Purpose slots inside a replication's key space.
 LIFETIME_DRAWS = 0
@@ -53,6 +55,7 @@ CENSORING_DRAWS = 1
 _MAX_SEED = 1 << 64
 _MAX_REPLICATION = 1 << 44
 _MAX_GRID_POINT = 1 << 16
+_MAX_N = 10**8
 
 # Cells (replications x sample size) per chunk of the study engine; a
 # chunk holds at least one replication. Larger chunks make fewer numpy
@@ -134,7 +137,10 @@ class SimConfig:
     def __post_init__(self):
         for name, kind in (("mu", float), ("sigma", float), ("mu_c", float), ("sigma_c", float),
                            ("n", int), ("m", int), ("seed", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+            value = getattr(self, name)
+            if kind is int and not float(value).is_integer():  # NaN and inf too
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, kind(value))
         object.__setattr__(self, "lods", tuple(float(v) for v in self.lods))
         if not math.isfinite(self.mu):
             raise InvalidParameterError(f"mu must be finite, got {self.mu}")
@@ -150,8 +156,8 @@ class SimConfig:
             raise InvalidParameterError(f"sigma_c must be positive and finite, got {self.sigma_c}")
         if self.n < 2:
             raise InvalidParameterError(f"n must be at least 2, got {self.n}")
-        if self.n >= 1 / LOG_PRODUCT_THRESHOLD:
-            raise InvalidParameterError(f"n must be below {1 / LOG_PRODUCT_THRESHOLD:.0f}, got {self.n}")
+        if self.n >= _MAX_N:
+            raise InvalidParameterError(f"n must be below {_MAX_N}, got {self.n}")
         if self.m < 1:
             raise InvalidParameterError(f"m must be at least 1, got {self.m}")
         if self.m > _MAX_REPLICATION:
@@ -280,25 +286,19 @@ def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
 
     Returns (product-limit, RHR-MLE, has_jump). Each row gets the largest
     gap |F(t) - F̂(t)| over the jumps of its ``tally`` and
-    ``product_limit_cdf``/``rhr_mle_cdf`` fit, bit for bit: the per-value
-    counts d, q and y are formed as in ``TallyTable.jumps()``, the factors
-    use the same expressions, and the suffix products run over the same
+    ``product_limit_cdf``/``rhr_mle_cdf`` fit, bit for bit: rows are
+    grouped by ``data._runs`` as in ``tally``, the per-value counts d, q
+    and y are formed as in ``TallyTable.jumps()``, the factors use the same
+    expressions, and ``estimators._tail_products`` runs over the same
     factors in the same order, with exact factors of 1.0 at positions that
     are not jumps.
     A row without a detected value has no jump (has_jump False, distances
     0).
     """
     rows, n = values.shape
-    # Every nonzero factor is at least 1/n and SimConfig keeps n below
-    # 1/LOG_PRODUCT_THRESHOLD, so _tail_products would never take its
-    # log-space branch: a plain cumprod is what it computes.
-    order = np.argsort(values, axis=1, kind="stable")
-    v = np.take_along_axis(values, order, axis=1)
-    exact_cum = np.cumsum(np.take_along_axis(detected, order, axis=1), axis=1)
+    v, exact_cum, last = _runs(values, detected)
     at_or_below = np.broadcast_to(np.arange(1, n + 1), (rows, n))
     # The last position of each distinct value carries that value's counts.
-    last = np.ones((rows, n), dtype=bool)
-    last[:, :-1] = v[:, 1:] != v[:, :-1]
     prev_exact = np.zeros_like(exact_cum)
     prev_exact[:, 1:] = np.maximum.accumulate(np.where(last, exact_cum, 0), axis=1)[:, :-1]
     prev_total = np.zeros_like(exact_cum)
@@ -313,9 +313,7 @@ def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
     for factors in (1.0 - d / y, 1.0 - d / (y - q)):
         full = np.ones((rows, n))
         full[jump] = factors
-        suffix = np.cumprod(full[:, ::-1], axis=1)[:, ::-1]
-        levels = np.ones((rows, n))
-        levels[:, :-1] = suffix[:, 1:]
+        levels, _ = _tail_products(full)
         gaps = np.zeros((rows, n))
         gaps[jump] = np.abs(truth - levels[jump])
         out.append(gaps.max(axis=1))
@@ -348,11 +346,16 @@ def _chunk(cfg: SimConfig, grid_point: int, reps: range
     return _ks_rows(np.maximum(lifetimes, thresholds), lifetimes >= thresholds, cfg.mu, cfg.sigma)
 
 
-def _study(grid_point: int, cfg: SimConfig) -> StudyResult:
-    """All m replications of one study, in chunks of _CHUNK_CELLS // n rows (at least one).
+def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyResult:
+    """Run all m replications of a study configuration, in chunks of
+    _CHUNK_CELLS // n rows (at least one).
 
-    Raises StudyDegenerateError when every replication is fully censored.
+    ``jobs`` must be at least 1; it is accepted for compatibility and the
+    result is the same for any value. Raises StudyDegenerateError when
+    every replication is fully censored.
     """
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
     step = max(1, _CHUNK_CELLS // cfg.n)
     chunks = [_chunk(cfg, grid_point, range(start, min(start + step, cfg.m)))
               for start in range(0, cfg.m, step)]
@@ -363,21 +366,6 @@ def _study(grid_point: int, cfg: SimConfig) -> StudyResult:
         )
     indices = np.flatnonzero(kept)
     return StudyResult(cfg, indices, kpl[kept], krh[kept], cfg.m - indices.size, grid_point=grid_point)
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
-
-
-def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyResult:
-    """Run all m replications of a study configuration.
-
-    ``jobs`` must be at least 1; it is accepted for compatibility and the
-    result is the same for any value.
-    """
-    _check_jobs(jobs)
-    return _study(grid_point, cfg)
 
 
 def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResult]:
@@ -394,5 +382,5 @@ def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResu
     if len(values) > _MAX_GRID_POINT:
         raise InvalidParameterError(f"sweep grid is limited to {_MAX_GRID_POINT} points")
     values.sort()
-    _check_jobs(jobs)
-    return [_study(position, replace(base, **{param: value})) for position, value in enumerate(values)]
+    return [run_study(replace(base, **{param: value}), grid_point=position, jobs=jobs)
+            for position, value in enumerate(values)]

@@ -255,7 +255,7 @@ def perturb_censored_ties(dataset: Dataset, epsilon: float | None = None) -> Dat
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     tied = ~detected & np.isin(values, values[detected])
-    return Dataset.from_arrays(np.where(tied, values + epsilon, values), detected)
+    return Dataset(np.where(tied, values + epsilon, values), detected)
 
 
 @dataclass(frozen=True)
@@ -300,14 +300,14 @@ def apply_time_censoring(lifetimes: np.ndarray, lods: tuple[float, ...], rng: np
     if lods.size == 0:
         raise InvalidParameterError("lods must be non-empty")
     drawn = lods[rng.integers(0, lods.size, size=lifetimes.size)]
-    return Dataset.from_arrays(np.maximum(lifetimes, drawn), lifetimes >= drawn)
+    return Dataset(np.maximum(lifetimes, drawn), lifetimes >= drawn)
 
 
 def apply_random_censoring(lifetimes: np.ndarray, mu_c: float, sigma_c: float, rng: np.random.Generator) -> Dataset:
     """Censor each lifetime at an independent log-normal(mu_c, sigma_c) threshold."""
     lifetimes = np.asarray(lifetimes, dtype=np.float64)
     thresholds = sample_lognormal(mu_c, sigma_c, lifetimes.size, rng)
-    return Dataset.from_arrays(np.maximum(lifetimes, thresholds), lifetimes >= thresholds)
+    return Dataset(np.maximum(lifetimes, thresholds), lifetimes >= thresholds)
 
 
 def ks_distance(f: StepCdf, mu: float, sigma: float) -> float:

@@ -36,7 +36,7 @@ def make_grid_dataset(rng: np.random.Generator, n: int | None = None,
     p = rng.uniform(0.2, 1.0)
     detected = rng.random(n) < p
     detected[int(rng.integers(0, n))] = True
-    return Dataset.from_arrays(values.astype(float), detected)
+    return Dataset(values.astype(float), detected)
 
 
 def make_tie_free_dataset(rng: np.random.Generator, n: int | None = None,
@@ -49,7 +49,7 @@ def make_tie_free_dataset(rng: np.random.Generator, n: int | None = None,
     rng.shuffle(values)
     detected = rng.random(n) < rng.uniform(0.2, 1.0)
     detected[int(rng.integers(0, n))] = True
-    return Dataset.from_arrays(values, detected)
+    return Dataset(values, detected)
 
 
 def make_tied_dataset(rng: np.random.Generator, n: int | None = None,

@@ -115,7 +115,7 @@ def test_criterion_3_property_suite(announce):
         for k in range(1000):
             d = make_grid_dataset(rng) if k % 3 else make_tie_free_dataset(rng)
             if k % 10 == 0:
-                d = Dataset.from_arrays(d.values(), np.ones(d.n, dtype=bool))
+                d = Dataset(d.values(), np.ones(d.n, dtype=bool))
             table = tally(d)
             pl = product_limit_cdf(table)
             rhr = rhr_mle_cdf(table)

@@ -112,7 +112,7 @@ def test_negation_oracle_matches_product_limit_tie_free(data):
     values = np.cumsum(np.asarray(steps))  # strictly increasing, all distinct
     flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     flags[data.draw(st.integers(0, n - 1))] = True
-    d = Dataset.from_arrays(values, np.asarray(flags))
+    d = Dataset(values, np.asarray(flags))
     a = km_negation_oracle(d)
     b = product_limit_cdf(tally(d))
     assert np.array_equal(a.support, b.support)

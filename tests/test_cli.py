@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -457,6 +458,21 @@ def test_estimate_rejects_non_finite_eval_points(capsys):
     assert "--lods" in err
 
 
+def test_fully_tied_large_sample(capsys, tmp_path):
+    """200k rows at one value, a third of them detected, tally to one row
+    and every estimator fits them."""
+    n = 200_000
+    detected = np.arange(n) % 3 == 0
+    t = tally(Dataset(np.full(n, 2.5), detected))
+    assert t.values.tolist() == [2.5]
+    assert (t.exact.tolist(), t.censored.tolist(), t.at_or_below.tolist()) == ([66667], [133333], [n])
+    p = tmp_path / "tied.csv"
+    p.write_text("value,detected\n" + "".join(f"2.5,{int(f)}\n" for f in detected))
+    code, out, _ = run(capsys, "estimate", str(p), "--method", "all")
+    assert code == 0
+    assert len(_table_rows(out)) == 1
+
+
 # ----------------------------------------------------------------- compare
 
 
@@ -491,6 +507,81 @@ def test_compare_json_means(capsys):
     assert math.isclose(doc["means"]["at-zero"]["product_limit"], 11 / 6,
                         rel_tol=1e-12)
     assert [r["tie"] for r in doc["rows"]] == [True, False, True, False]
+
+
+# ------------------------------------------------------- frozen digests
+
+EVAL = "0,0.3,0.5,1,1.5,2,2.5,3,10,100"
+
+# sha256 of each command's output file on the two fixtures: a change to the
+# estimator kernel must keep these bytes. The outputs use only correctly
+# rounded arithmetic and the %.7g cell format, so the digests hold on any
+# host. JSON from crhf-exp (and "all") and from compare is left out: its
+# full-precision numbers go through np.exp and np.dot, whose last bit
+# depends on the SIMD or BLAS kernel (numpy's AVX-512 exp differs from
+# libm's in the last bit on one crhf-exp value of each fixture).
+FROZEN_DIGESTS = {
+    "groundwater_reconstructed.csv estimate --method product-limit --format csv":
+        "b91b5bb503919582c1879c29e2dd32bf2e6f0ae483214d823dba333ed720b244",
+    f"groundwater_reconstructed.csv estimate --method product-limit --format csv --eval-points {EVAL}":
+        "3141f7c5e151bde3cd7bb2054ac0aabb4823512df2a0631f17ac7f5a82f6b4dd",
+    "groundwater_reconstructed.csv estimate --method product-limit --format json":
+        "f585596b72994725f4dcaa0c7a5196d8c1534a5ab2d42bca741479309e94296d",
+    f"groundwater_reconstructed.csv estimate --method product-limit --format json --eval-points {EVAL}":
+        "078c9381783a012ef9859d5bb041dc41de4e410a9ef96b401b8286bf62b850f1",
+    "groundwater_reconstructed.csv estimate --method rhr-mle --format csv":
+        "e46ddb3b7f27ba5604827be40bd9c6ed912042dfbdbbe9c172449e31079ea2b7",
+    f"groundwater_reconstructed.csv estimate --method rhr-mle --format csv --eval-points {EVAL}":
+        "acb1abedadd20cf99c9d3efa3c43181d197d09aaf51836dc618592536e06cf34",
+    "groundwater_reconstructed.csv estimate --method rhr-mle --format json":
+        "697490f687bcad17870b4913ace099771f5dc39796da9935c04ff1198c662f91",
+    f"groundwater_reconstructed.csv estimate --method rhr-mle --format json --eval-points {EVAL}":
+        "ca4b01554362366abf30df3a1abc60f21745b0caee1fba49d9e701f2a001ee14",
+    "groundwater_reconstructed.csv estimate --method crhf-exp --format csv":
+        "15a53fd3807895ff53d12ce2482c9b1d3d05d6fba2a5c6c413c104f06edd01e0",
+    f"groundwater_reconstructed.csv estimate --method crhf-exp --format csv --eval-points {EVAL}":
+        "6d4fc2007d25e83c887d9a1a1a8a6e291ef13e85cb7badfd7be8e915be6ac253",
+    "groundwater_reconstructed.csv estimate --method all --format csv":
+        "12d00ed10798a79ed1ebb37415b857544d22deb6072eef08e079b9952d9eb1c9",
+    f"groundwater_reconstructed.csv estimate --method all --format csv --eval-points {EVAL}":
+        "a40a26c3c5cda83ac88190be839aac8a521d249abffb73e299458d376ce65b85",
+    "groundwater_reconstructed.csv compare --format csv":
+        "fee3055fad3b830b0ec0d15694f3ee13a9a590d99ab474b6e89ba30d924f9d60",
+    "six_obs.csv estimate --method product-limit --format csv":
+        "6ab735aa3b61ef9857bbf9e580759bebb31b021adfc109fc3e96bbe1927cd960",
+    f"six_obs.csv estimate --method product-limit --format csv --eval-points {EVAL}":
+        "8d939e043066a1f1596894e9a84e0a145509a14aeb61e069ed661b93645b47b1",
+    "six_obs.csv estimate --method product-limit --format json":
+        "ae2a4d1f364e4775bbfd924ac2dce156397d7015053de683a516c88e9792c472",
+    f"six_obs.csv estimate --method product-limit --format json --eval-points {EVAL}":
+        "ad81f1b1d905ea0da3e97ffccc2f5568adaa39985a09a61c1d57f611173fd9ca",
+    "six_obs.csv estimate --method rhr-mle --format csv":
+        "8fefd70c43ba2c66f2d3cd50d5b64f7e0a754dc38175f71e5a82a344dc390700",
+    f"six_obs.csv estimate --method rhr-mle --format csv --eval-points {EVAL}":
+        "5389729b1d7a414e768e6035542d0ded2aa8a0354f353d11f8926b094dc4311b",
+    "six_obs.csv estimate --method rhr-mle --format json":
+        "5e5bdbbd0f590cd3aee88dc2cd1371fb4ce8fefb782a29696dc2c9e4b0416a53",
+    f"six_obs.csv estimate --method rhr-mle --format json --eval-points {EVAL}":
+        "bc1b9014ec2237f59244c1400bc6a0dce8b03c0a176c1e9646f8a35f815c5d0e",
+    "six_obs.csv estimate --method crhf-exp --format csv":
+        "9f3c9078a4735ce161ef8b42c512b657fb503e5939af79347f3d20fb7cdf58ae",
+    f"six_obs.csv estimate --method crhf-exp --format csv --eval-points {EVAL}":
+        "5e8f733a3806f78ca42556b096494e6db289c1760aa4ddf9caaa13f6a01aaa78",
+    "six_obs.csv estimate --method all --format csv":
+        "ad48fc804b321759d0779e63f73cd9a2f7861a1c3fb466a42f23bd028fbbe530",
+    f"six_obs.csv estimate --method all --format csv --eval-points {EVAL}":
+        "bb8e3df09e15961401dae84882ca0e2216d65f6036e07a953ae1845a1d08113b",
+    "six_obs.csv compare --format csv":
+        "93e7181bd4f6e9f62ca957ba53537ecb2332589022c0aa92f1dbf30bc90d485a",
+}
+
+
+@pytest.mark.parametrize("command", list(FROZEN_DIGESTS))
+def test_fixture_outputs_keep_their_digest(command, tmp_path):
+    name, *args = command.split()
+    out = tmp_path / "out"
+    assert main(args[:1] + [str(FIXTURES / name)] + args[1:] + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_DIGESTS[command]
 
 
 # ---------------------------------------------------------------- simulate

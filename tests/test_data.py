@@ -27,15 +27,20 @@ def test_dataset_validates():
         with pytest.raises(ValueError):
             Dataset.from_pairs([(bad, True)])
         with pytest.raises(ValueError):
-            Dataset.from_arrays(np.array([1.0, bad]), np.array([True, False]))
+            Dataset(np.array([1.0, bad]), np.array([True, False]))
     with pytest.raises(ValueError):  # text is not a number
         Dataset.from_pairs([("1.5", True)])
     with pytest.raises(ValueError):
         Dataset.from_pairs([])
     with pytest.raises(ValueError):  # one flag per value
-        Dataset.from_arrays(np.ones(3), np.ones(2, dtype=bool))
+        Dataset(np.ones(3), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):  # two columns, not a table
-        Dataset.from_arrays(np.ones((2, 2)), np.ones((2, 2), dtype=bool))
+        Dataset(np.ones((2, 2)), np.ones((2, 2), dtype=bool))
+    for flags in ([np.nan], [2], [0.5], [-1]):  # a flag is 0 or 1, nothing else
+        with pytest.raises(ValueError, match="flag must be 0 or 1"):
+            Dataset(np.array([1.0]), np.array(flags))
+    with pytest.raises(ValueError, match="flag must be 0 or 1"):
+        Dataset.from_pairs([(1.0, 2), (2.0, 0.5)])
 
 
 def test_dataset_coerces_types():
@@ -46,7 +51,7 @@ def test_dataset_coerces_types():
     assert d.detected().tolist() == [True, False, True]
     # the stored arrays are read-only copies, handed out without copying
     values = np.array([1.0, 2.0])
-    d = Dataset.from_arrays(values, np.array([True, False]))
+    d = Dataset(values, np.array([True, False]))
     assert d.values() is d.values() and d.detected() is d.detected()
     with pytest.raises(ValueError):
         d.values()[0] = 5.0
@@ -62,7 +67,7 @@ def test_dataset_requires_a_detection():
 
 
 def test_dataset_arrays_round_trip():
-    d = Dataset.from_arrays(np.array([3.0, 1.0, 2.0]), np.array([True, False, True]))
+    d = Dataset(np.array([3.0, 1.0, 2.0]), np.array([True, False, True]))
     assert d.n == 3
     assert d.values().tolist() == [3.0, 1.0, 2.0]
     assert d.detected().tolist() == [True, False, True]
@@ -189,7 +194,7 @@ def _per_line_scan(lines):
     values, detected = data._scan(list(lines), 1, True)
     if not values.size:
         raise IngestError("no observations found")
-    return Dataset.from_arrays(values, detected)
+    return Dataset(values, detected)
 
 
 def _outcome(read):
@@ -306,3 +311,12 @@ def test_tally_groups_like_a_dict_count(pairs, censored_only):
     assert t.exact.tolist() == exact
     assert t.censored.tolist() == censored
     assert t.at_or_below.tolist() == np.cumsum(np.add(exact, censored)).tolist()
+
+
+@pytest.mark.parametrize("values", [[-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [0.0] * 5 + [-0.0] * 5 + [1.0],
+                                    [-0.0] * 20 + [0.0] * 20, [0.0, -0.0] * 50])
+def test_tally_names_a_signed_zero_run_as_np_unique_does(values):
+    """-0.0 and 0.0 are one row; the zero that names it (and prints as
+    "0" or "-0") is the one np.unique(..., return_inverse=True) picks."""
+    t = tally(Dataset(np.array(values), np.ones(len(values), dtype=bool)))
+    assert t.values.tobytes() == np.unique(np.array(values), return_inverse=True)[0].tobytes()

@@ -342,6 +342,35 @@ def test_tail_products_zero_factor_stays_direct():
     assert lower == 0.0
 
 
+@pytest.mark.parametrize("op", [np.multiply, np.add])
+def test_tail_products_rows_equal_one_row_calls(op):
+    """A (rows, n) array scans each row exactly as a 1-D call does."""
+    rng = np.random.default_rng(11)
+    terms = rng.random((9, 17))
+    terms[rng.random(terms.shape) < 0.3] = 1.0  # non-jump positions, as the study engine fills them
+    terms[2, 5] = 0.0
+    tail, total = _tail_products(terms, op)
+    for row in range(terms.shape[0]):
+        row_tail, row_total = _tail_products(terms[row], op)
+        assert tail[row].tobytes() == row_tail.tobytes()
+        assert total[row].tobytes() == np.float64(row_total).tobytes()
+
+
+def test_tail_products_tiny_factors_match_exact_products():
+    """Factors far below 1e-8 keep full relative precision: each of at most
+    seven multiplications rounds once, so the error stays within 1e-15."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        factors = 10.0 ** rng.uniform(-36.0, 0.0, size=int(rng.integers(1, 9)))
+        factors[int(rng.integers(0, factors.size))] = 10.0 ** rng.uniform(-36.0, -8.0)
+        levels, lower = _tail_products(factors)
+        exact = [Fraction(1)] * (factors.size + 1)
+        for k in range(factors.size - 1, -1, -1):
+            exact[k] = exact[k + 1] * Fraction(float(factors[k]))
+        for got, want in zip([float(lower), *levels.tolist()], exact):
+            assert abs(Fraction(got) - want) <= want * Fraction(1, 10**15)
+
+
 def test_step_cdf_validation():
     with pytest.raises(ValueError):
         StepCdf(np.array([1.0, 1.0]), np.array([0.5, 1.0]), 0.0, "x")

@@ -192,6 +192,11 @@ def test_config_validation():
         dict(mu=0.0, sigma=1.0, m=0),
         dict(mu=0.0, sigma=1.0, seed=-1),
         dict(mu=0.0, sigma=1.0, seed=1 << 64),
+        dict(mu=0.0, sigma=1.0, n=50.9),
+        dict(mu=0.0, sigma=1.0, m=10.7),
+        dict(mu=0.0, sigma=1.0, seed=3.9),
+        dict(mu=0.0, sigma=1.0, n=float("nan")),
+        dict(mu=0.0, sigma=1.0, m=float("inf")),
     ]
     for kwargs in bad:
         with pytest.raises(InvalidParameterError):
@@ -199,9 +204,9 @@ def test_config_validation():
 
 
 def test_config_limits_the_study_sizes():
-    """n stays below 1/LOG_PRODUCT_THRESHOLD, which the engine's plain
-    suffix products rely on, and m within the 2**44 replications that the
-    substream keys hold; both are refused before any draw."""
+    """n stays below the 10**8 size cap and m within the 2**44
+    replications that the substream keys hold; both are refused before
+    any draw."""
     SimConfig(mu=0.0, sigma=1.0, n=10**8 - 1, m=1 << 44)  # built, never run
     for kwargs in (dict(n=10**8), dict(m=(1 << 44) + 1)):
         with pytest.raises(InvalidParameterError, match="must be"):

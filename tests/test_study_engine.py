@@ -98,7 +98,7 @@ def scalar_rows(values, detected, mu, sigma):
     out = []
     for v, d in zip(values, detected):
         try:
-            table = tally(Dataset.from_arrays(v, d))
+            table = tally(Dataset(v, d))
         except AllCensoredError:
             out.append(None)
             continue
