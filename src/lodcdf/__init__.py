@@ -13,6 +13,8 @@ from .data import (
     AllCensoredError,
     Dataset,
     IngestError,
+    InvalidParameterError,
+    StudyDegenerateError,
     TallyTable,
     ingest,
     tally,
@@ -29,15 +31,6 @@ from .estimators import (
     rhr_mle_cdf,
     rhr_variance,
 )
-from .simulation import (
-    InvalidParameterError,
-    SimConfig,
-    StudyDegenerateError,
-    StudyResult,
-    run_study,
-    substream,
-    sweep,
-)
 
 __version__ = "0.1.0"
 
@@ -46,3 +39,19 @@ __all__ = ["AllCensoredError", "Dataset", "IngestError", "InvalidParameterError"
            "TallyTable", "crhf_exp_cdf", "ecdf", "eval_cdf", "greenwood_variance", "ingest",
            "mean_from_cdf", "product_limit_cdf", "quantile_from_cdf", "rhr_mle_cdf", "rhr_variance",
            "run_study", "substitution_mean", "substream", "sweep", "tally"]
+
+# The study engine loads scipy, which the estimators never need: its names
+# are imported on first use (PEP 562).
+_STUDY_NAMES = ("SimConfig", "StudyResult", "run_study", "substream", "sweep")
+
+
+def __getattr__(name: str):
+    if name in _STUDY_NAMES:
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_STUDY_NAMES))

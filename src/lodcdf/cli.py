@@ -31,10 +31,19 @@ import sys
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import AllCensoredError, IngestError, ingest, tally
+from .data import (
+    _MAX_GRID_POINT,
+    AllCensoredError,
+    IngestError,
+    InvalidParameterError,
+    StudyDegenerateError,
+    ingest,
+    tally,
+)
 from .estimators import (
     StepCdf,
     crhf_exp_cdf,
@@ -45,14 +54,10 @@ from .estimators import (
     rhr_mle_cdf,
     rhr_variance,
 )
-from .simulation import (
-    _MAX_GRID_POINT,
-    InvalidParameterError,
-    SimConfig,
-    StudyDegenerateError,
-    run_study,
-    sweep,
-)
+
+# The study engine loads scipy; estimate and compare never import it.
+if TYPE_CHECKING:
+    from .simulation import SimConfig
 
 METHODS = ("product-limit", "rhr-mle", "crhf-exp")
 
@@ -342,7 +347,9 @@ def _estimate_json(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) 
 def cmd_estimate(args: argparse.Namespace) -> int:
     dataset = ingest(args.input)
     table = tally(dataset)
-    points = np.array(_parse_floats(args.eval_points, flag="--eval-points")) if args.eval_points else None
+    points = None
+    if args.eval_points is not None:
+        points = np.array(_parse_floats(args.eval_points, flag="--eval-points"))
     names = METHODS if args.method == "all" else (args.method,)
     fits = {name: _fit(table, name) for name in names}
     render = _estimate_json if args.format == "json" else _estimate_csv
@@ -390,6 +397,8 @@ def _config_dict(cfg: SimConfig) -> dict:
 
 def _sim_config(args: argparse.Namespace, **params: float) -> SimConfig:
     """SimConfig from mu, sigma, mu_c, sigma_c and the shared study flags."""
+    from .simulation import SimConfig
+
     return SimConfig(
         **params,
         scheme=args.scheme,
@@ -403,6 +412,8 @@ def _sim_config(args: argparse.Namespace, **params: float) -> SimConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mu is None or args.sigma is None:
         raise InvalidParameterError("simulate requires --mu and --sigma")
+    from .simulation import run_study
+
     cfg = _sim_config(args, mu=args.mu, sigma=args.sigma, mu_c=args.mu_c, sigma_c=args.sigma_c)
     result = run_study(cfg, jobs=args.jobs)
     doc = {
@@ -444,6 +455,8 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .simulation import sweep
+
     fixed: dict[str, float] = {}
     for item in args.fix or []:
         if "=" not in item:

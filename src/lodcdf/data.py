@@ -16,7 +16,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-__all__ = ["Dataset", "TallyTable", "IngestError", "AllCensoredError", "ingest", "tally"]
+__all__ = ["Dataset", "TallyTable", "IngestError", "AllCensoredError", "InvalidParameterError",
+           "StudyDegenerateError", "ingest", "tally"]
 
 
 class IngestError(ValueError):
@@ -32,6 +33,18 @@ class IngestError(ValueError):
 class AllCensoredError(ValueError):
     """No detected value anywhere: no distribution estimate can be proposed."""
 
+
+class InvalidParameterError(ValueError):
+    """A study parameter is outside its allowed range."""
+
+
+class StudyDegenerateError(RuntimeError):
+    """Every replication of a study came out fully censored."""
+
+
+# Grid points of a sweep: the key space of a study's substreams has 16 bits
+# for them. Here so the CLI can check --grid without loading the study engine.
+_MAX_GRID_POINT = 1 << 16
 
 _ALL_CENSORED = "every value is censored; no distribution estimate can be proposed"
 

@@ -34,7 +34,8 @@ row, and ``estimators._tail_products`` takes the suffix products along
 the rows. Its results are therefore bit-identical to fitting each
 replication on its own, and identical across runs. Public names:
 ``SimConfig``, ``StudyResult``, ``run_study``, ``sweep``, ``substream``,
-the two errors.
+the two errors (defined in ``data``, so the CLI can map them to exit codes
+without loading scipy).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import _frozen, _runs
+from .data import _MAX_GRID_POINT, InvalidParameterError, StudyDegenerateError, _frozen, _runs
 from .estimators import _tail_products
 
 # Purpose slots inside a replication's key space.
@@ -54,7 +55,6 @@ CENSORING_DRAWS = 1
 
 _MAX_SEED = 1 << 64
 _MAX_REPLICATION = 1 << 44
-_MAX_GRID_POINT = 1 << 16
 _MAX_N = 10**8
 
 # Cells (replications x sample size) per chunk of the study engine; a
@@ -70,14 +70,6 @@ _PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_BUMP0 = 0x9E3779B97F4A7C15
 _PHILOX_BUMP1 = 0xBB67AE8584CAA73B
 _LOW32 = 0xFFFFFFFF
-
-
-class InvalidParameterError(ValueError):
-    """A study parameter is outside its allowed range."""
-
-
-class StudyDegenerateError(RuntimeError):
-    """Every replication of a study came out fully censored."""
 
 
 def _key(seed: int, replication: int, purpose: int, grid_point: int) -> int:

@@ -458,6 +458,15 @@ def test_estimate_rejects_non_finite_eval_points(capsys):
     assert "--lods" in err
 
 
+@pytest.mark.parametrize("points", ["", ",", " "])
+def test_estimate_rejects_empty_eval_points(capsys, points):
+    """An empty --eval-points is an error, not a request for the support table."""
+    code, out, err = run(capsys, "estimate", str(SIX), "--eval-points", points)
+    assert code == 5
+    assert out == ""
+    assert "--eval-points expects at least one number" in err
+
+
 def test_fully_tied_large_sample(capsys, tmp_path):
     """200k rows at one value, a third of them detected, tally to one row
     and every estimator fits them."""
