@@ -404,7 +404,7 @@ def _sim_config(args: argparse.Namespace, **params: float) -> SimConfig:
         scheme=args.scheme,
         lods=tuple(_parse_floats(args.lods, flag="--lods")),
         n=args.n,
-        m=args.m if args.m is not None else 1000,
+        m=args.m,
         seed=args.seed if args.seed is not None else _default_seed(),
     )
 
@@ -496,7 +496,7 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=("time", "random"), default="time")
     p.add_argument("--lods", default="0.5,1,2", help="comma-separated LODs for the time scheme")
     p.add_argument("--n", type=int, default=50, help="sample size per replication")
-    p.add_argument("--m", type=int, default=None, help="replication count (default 1000)")
+    p.add_argument("--m", type=int, default=1000, help="replication count (default 1000)")
     p.add_argument("--seed", type=int, default=None, help="study seed (default: LODCDF_SEED or 0)")
     p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; studies run in one process (same output for any value)")
     p.add_argument("--output", default=None, help="write here instead of stdout")

@@ -2,7 +2,7 @@
 
 An observation is a measured value together with a detection flag: detected
 means the value is the measurement itself, not detected means the measurement
-fell below the reported limit of detection and the value *is* that limit.
+lies below the reported limit of detection and the value *is* that limit.
 Estimation never needs the raw sample order, only the per-distinct-value
 tallies built here.
 """
@@ -53,8 +53,10 @@ class Dataset:
     """A sample in input order: values and detection flags, two read-only arrays.
 
     A value is the measurement itself when detected and the limit of
-    detection otherwise. Values are compared for tie purposes by exact
-    equality; no tolerance is ever applied. Every value must be finite and
+    detection L otherwise. A nondetect means X < L to the product-limit
+    estimator and X <= L to the RHR-MLE, which differ only at such ties.
+    Values are compared for tie purposes by exact equality; no tolerance
+    is ever applied. Every value must be finite and
     >= 0, and at least one must be detected.
     """
 
@@ -261,27 +263,28 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
     return Dataset(np.concatenate(values), np.concatenate(detected))
 
 
-def _runs(values: np.ndarray, detected: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort along the last axis and mark the runs of equal values.
+def _runs(values: np.ndarray, detected: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sort along the last axis and count each run of equal values.
 
-    Returns (sorted values, running detected count, last), ``last`` being
-    True at the last position of each distinct value. The sort need not be
-    stable: the counts at the end of a run do not depend on the order
+    Returns (ends, value, exact, total) per run, in sorted order and row
+    after row: the flat position of the run's last element, the run's first
+    value, its detected count and its length. Runs never cross rows. The
+    sort need not be stable: a run's counts do not depend on the order
     inside it.
     """
     order = np.argsort(values, axis=-1)
     sorted_values = np.take_along_axis(values, order, axis=-1)
-    exact_cum = np.cumsum(np.take_along_axis(detected, order, axis=-1), axis=-1)
     last = np.ones(values.shape, dtype=bool)
     last[..., :-1] = sorted_values[..., 1:] != sorted_values[..., :-1]
-    return sorted_values, exact_cum, last
+    ends = np.flatnonzero(last)
+    exact = np.diff(np.cumsum(np.take_along_axis(detected, order, axis=-1))[ends], prepend=0)
+    total = np.diff(ends, prepend=-1)
+    # -0.0 and 0.0 share a run; the run's first value names it.
+    return ends, sorted_values.ravel()[ends - total + 1], exact, total
 
 
 def tally(dataset: Dataset) -> TallyTable:
     """Group a dataset by distinct value into ascending count rows."""
-    values, exact_cum, last = _runs(dataset.values(), dataset.detected())
-    ends = np.flatnonzero(last)
-    exact = np.diff(exact_cum[ends], prepend=0)
-    total = np.diff(ends, prepend=-1)
-    # -0.0 and 0.0 share a run; the run's first value names its row.
-    return TallyTable(values[ends - total + 1], exact, total - exact, ends + 1)
+    ends, value, exact, total = _runs(dataset.values(), dataset.detected())
+    return TallyTable(value, exact, total - exact, ends + 1)

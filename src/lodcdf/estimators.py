@@ -103,6 +103,8 @@ def product_limit_cdf(table: TallyTable) -> StepCdf:
     product is empty and the estimate is 1. ``lower_value`` (below the
     first jump) includes every factor and is 0 exactly when the smallest
     distinct value is exact-only.
+    Each rate d*/y* maximizes its jump's likelihood term d* log λ +
+    (y* - d*) log(1 - λ), the term when a nondetect at L means X < L.
     """
     values, exact, _, at_or_below = table.jumps()
     levels, lower = _tail_products(1.0 - exact / at_or_below)
@@ -117,6 +119,8 @@ def rhr_mle_cdf(table: TallyTable) -> StepCdf:
     a jump is (1 - d*/(y* - q*)), i.e. censored values equal to an exact
     value are treated as sitting just above it. On tie-free samples this
     estimator and the product-limit one are the same function.
+    Each rate d*/(y* - q*) maximizes its jump's likelihood term d* log λ +
+    (y* - d* - q*) log(1 - λ), the term when a nondetect at L means X <= L.
     """
     values, exact, censored, at_or_below = table.jumps()
     levels, lower = _tail_products(1.0 - exact / (at_or_below - censored))
@@ -178,8 +182,11 @@ def eval_cdf_at(f: StepCdf, points) -> tuple[np.ndarray, np.ndarray | None]:
 
     Returns (estimates, variances), with ``lower_value`` and
     ``lower_variance`` below the first jump; variances is None when the
-    StepCdf carries none.
+    StepCdf carries none. Raises ValueError at a NaN point.
     """
+    points = np.asarray(points, dtype=np.float64)
+    if np.isnan(points).any():
+        raise ValueError(f"cannot evaluate a CDF at nan (point {np.isnan(points).argmax()})")
     idx = np.searchsorted(f.support, points, side="right") - 1
     below = idx < 0
     estimates = np.where(below, f.lower_value, f.values[idx])

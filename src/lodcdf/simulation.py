@@ -29,10 +29,10 @@ draw on a word's 32-bit halves; the rare row whose bounded draw would be
 rejected and redrawn is drawn through ``substream`` itself. The engine
 then transforms and censors the whole chunk at once, and computes both
 estimators and their distances row-wise through the code ``tally`` and
-the estimators run on one sample: ``data._runs`` sorts and groups every
-row, and ``estimators._tail_products`` takes the suffix products along
-the rows. Its results are therefore bit-identical to fitting each
-replication on its own, and identical across runs. Public names:
+the estimators run on one sample: ``data._runs`` sorts every row and
+counts its runs, and one ``estimators._tail_products`` call takes both
+estimators' suffix products. Its results are therefore bit-identical to
+fitting each replication on its own, and identical across runs. Public names:
 ``SimConfig``, ``StudyResult``, ``run_study``, ``sweep``, ``substream``,
 the two errors (defined in ``data``, so the CLI can map them to exit codes
 without loading scipy).
@@ -80,15 +80,13 @@ def _key(seed: int, replication: int, purpose: int, grid_point: int) -> int:
     64-bit word and (grid_point << 48) | (replication << 4) | purpose the
     low one.
     """
-    seed, replication, purpose, grid_point = map(int, (seed, replication, purpose, grid_point))
-    if not 0 <= seed < _MAX_SEED:
-        raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if not 0 <= replication < _MAX_REPLICATION:
-        raise InvalidParameterError(f"replication index out of range: {replication}")
-    if not 0 <= purpose < 16:
-        raise InvalidParameterError(f"purpose must lie in [0, 16), got {purpose}")
-    if not 0 <= grid_point < _MAX_GRID_POINT:
-        raise InvalidParameterError(f"grid point index out of range: {grid_point}")
+    parts = {"seed": (seed, _MAX_SEED), "replication": (replication, _MAX_REPLICATION),
+             "purpose": (purpose, 16), "grid point": (grid_point, _MAX_GRID_POINT)}
+    for name, (value, limit) in parts.items():
+        if not (0 <= value < limit and float(value).is_integer()):  # NaN and inf fail the range
+            raise InvalidParameterError(
+                f"{name} must be an integer in [0, 2**{limit.bit_length() - 1}), got {value!r}")
+    seed, replication, purpose, grid_point = (int(value) for value, _ in parts.values())
     return (seed << 64) | (grid_point << 48) | (replication << 4) | purpose
 
 
@@ -130,7 +128,8 @@ class SimConfig:
         for name, kind in (("mu", float), ("sigma", float), ("mu_c", float), ("sigma_c", float),
                            ("n", int), ("m", int), ("seed", int)):
             value = getattr(self, name)
-            if kind is int and not float(value).is_integer():  # NaN and inf too
+            # NaN and inf are not integral; a Python int too large for a float is.
+            if kind is int and not (isinstance(value, int) or float(value).is_integer()):
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, kind(value))
         object.__setattr__(self, "lods", tuple(float(v) for v in self.lods))
@@ -234,7 +233,7 @@ def _philox_words(seed: int, grid_point: int, reps: range, purposes: tuple[int, 
     blocks = -(-words // 4)
     # Axes (purpose, replication, block): the early rounds broadcast over
     # only the axes their inputs vary on.
-    low = np.arange(reps.start, reps.stop, dtype=np.uint64) << 4 | grid_point << 48
+    low = np.arange(reps.start, reps.stop, dtype=np.uint64) << 4 | int(grid_point) << 48
     k0 = (low | np.array(purposes, dtype=np.uint64)[:, None])[..., None]
     k1 = np.full((1, 1, 1), seed, dtype=np.uint64)
     c0 = np.arange(1, blocks + 1, dtype=np.uint64)
@@ -278,38 +277,28 @@ def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
 
     Returns (product-limit, RHR-MLE, has_jump). Each row gets the largest
     gap |F(t) - F̂(t)| over the jumps of its ``tally`` and
-    ``product_limit_cdf``/``rhr_mle_cdf`` fit, bit for bit: rows are
-    grouped by ``data._runs`` as in ``tally``, the per-value counts d, q
-    and y are formed as in ``TallyTable.jumps()``, the factors use the same
-    expressions, and ``estimators._tail_products`` runs over the same
-    factors in the same order, with exact factors of 1.0 at positions that
-    are not jumps.
-    A row without a detected value has no jump (has_jump False, distances
-    0).
+    ``product_limit_cdf``/``rhr_mle_cdf`` fit, bit for bit: ``data._runs``
+    counts the runs as for ``tally``, the jumps are the runs with an exact
+    count >= 1 as in ``TallyTable.jumps()``, and ``_tail_products`` runs
+    over the same factors in the same order, with factors of exactly 1.0
+    at positions that are not jumps. A row without a detected value has no
+    jump (has_jump False, distances 0).
     """
     rows, n = values.shape
-    v, exact_cum, last = _runs(values, detected)
-    at_or_below = np.broadcast_to(np.arange(1, n + 1), (rows, n))
-    # The last position of each distinct value carries that value's counts.
-    prev_exact = np.zeros_like(exact_cum)
-    prev_exact[:, 1:] = np.maximum.accumulate(np.where(last, exact_cum, 0), axis=1)[:, :-1]
-    prev_total = np.zeros_like(exact_cum)
-    prev_total[:, 1:] = np.maximum.accumulate(np.where(last, at_or_below, 0), axis=1)[:, :-1]
-    jump = last & (exact_cum > prev_exact)
-    d = (exact_cum - prev_exact)[jump]
-    y = at_or_below[jump]
-    q = y - prev_total[jump] - d
+    ends, v, d, total = _runs(values, detected)
+    jump = d >= 1
+    ends, v, d, q = ends[jump], v[jump], d[jump], (total - d)[jump]
+    y = ends % n + 1
+    factors = np.ones((2, rows * n))
+    factors[0, ends] = 1.0 - d / y
+    factors[1, ends] = 1.0 - d / (y - q)
+    levels, _ = _tail_products(factors.reshape(2, rows, n))
     with np.errstate(divide="ignore"):
-        truth = ndtr((np.log(v[jump]) - mu) / sigma)
-    out = []
-    for factors in (1.0 - d / y, 1.0 - d / (y - q)):
-        full = np.ones((rows, n))
-        full[jump] = factors
-        levels, _ = _tail_products(full)
-        gaps = np.zeros((rows, n))
-        gaps[jump] = np.abs(truth - levels[jump])
-        out.append(gaps.max(axis=1))
-    return out[0], out[1], jump.any(axis=1)
+        truth = ndtr((np.log(v) - mu) / sigma)
+    gaps = np.zeros((2, rows * n))
+    gaps[:, ends] = np.abs(truth - levels.reshape(2, -1)[:, ends])
+    kpl, krh = gaps.reshape(2, rows, n).max(axis=2)
+    return kpl, krh, detected.any(axis=1)
 
 
 def _chunk(cfg: SimConfig, grid_point: int, reps: range

@@ -182,16 +182,24 @@ def mean(pairs, policy: str) -> Fraction:
     return total
 
 
-def loglik_term(row: OracleRow, r: float) -> float:
-    """One coordinate of the log-likelihood of the reversed-hazard
-    factorization: d log r + (y - d - q) log(1 - r)."""
-    import math
+def known_below(row: OracleRow, nondetect: str) -> int:
+    """How many observations are known to lie strictly below a jump value:
+    those at smaller values, plus its tied nondetects when a nondetect at
+    L means X < L (``nondetect="X<L"``), but not when it means X <= L
+    (``"X<=L"``)."""
+    if nondetect not in ("X<L", "X<=L"):
+        raise ValueError(f"unknown nondetect reading {nondetect!r}")
+    return row.y - row.d - (row.q if nondetect == "X<=L" else 0)
 
-    below = row.y - row.d - row.q
-    out = row.d * math.log(r)
-    if below:
-        out += below * math.log(1.0 - r)
-    return out
+
+def loglik_term(row: OracleRow, r, nondetect: str):
+    """One coordinate of the log-likelihood of the reversed-hazard
+    factorization, d log r + b log(1 - r) with b = ``known_below``,
+    elementwise over an array r; the b term is left out when b = 0, so
+    r = 1 is allowed there."""
+    below = known_below(row, nondetect)
+    out = row.d * np.log(r)
+    return out + below * np.log1p(-r) if below else out
 
 
 def curvature(row: OracleRow) -> Fraction:

@@ -134,8 +134,12 @@ def test_eval_cdf_regions():
     assert eval_cdf(pl, 1.0)[0] == pl.values[0]
     assert eval_cdf(pl, 2.5)[0] == pl.values[1]
     assert eval_cdf(pl, 99.0) == (1.0, 0.0)
+    assert eval_cdf(pl, float("inf")) == (1.0, 0.0)
+    assert eval_cdf(pl, -float("inf")) == (pl.lower_value, pl.lower_variance)
     bare = product_limit_cdf(table)
     assert eval_cdf(bare, 1.0) == (bare.values[0], None)
+    with pytest.raises(ValueError, match="nan"):
+        eval_cdf(pl, float("nan"))
 
 
 # ------------------------------------------------------------ oracle match
@@ -287,17 +291,28 @@ def test_quantile_is_generalized_inverse(pairs, p):
 @settings(max_examples=60, deadline=None)
 @given(pair_lists(max_n=60))
 def test_rates_maximize_each_likelihood_coordinate(pairs):
+    """Each estimator's rates maximize the likelihood under its reading of
+    a nondetect at L: product-limit d/y under X < L, RHR-MLE d/(y - q)
+    under X <= L. At a jump with tied nondetects (q >= 1) the rates differ,
+    and each reading's term is strictly lower at the other reading's rate,
+    checked in exact arithmetic."""
     table = tally(Dataset.from_pairs(pairs))
-    rt = rhr_table(table)
+    _, exact, _, at_or_below = table.jumps()
+    rates = {"X<L": exact / at_or_below, "X<=L": rhr_table(table).rates}
     rows = [r for r in oracle.tally_pairs(pairs) if r.d >= 1]
     grid = np.arange(1, 10000) / 10000.0
-    for row, r_hat in zip(rows, rt.rates):
-        below = row.y - row.d - row.q
-        ll_grid = row.d * np.log(grid) + below * np.log1p(-grid)
-        ll_hat = row.d * math.log(r_hat)
-        if below:
-            ll_hat += below * math.log1p(-r_hat)
-        assert ll_hat >= ll_grid.max() - 1e-9 * (1 + abs(ll_hat))
+    for reading, r_hats in rates.items():
+        for row, r_hat in zip(rows, r_hats):
+            ll_grid = oracle.loglik_term(row, grid, reading)
+            ll_hat = oracle.loglik_term(row, r_hat, reading)
+            assert ll_hat >= ll_grid.max() - 1e-9 * (1 + abs(ll_hat))
+    for row in rows:
+        if row.q == 0:
+            continue
+        pl, rhr = Fraction(row.d, row.y), Fraction(row.d, row.y - row.q)
+        for reading, own, other in (("X<L", pl, rhr), ("X<=L", rhr, pl)):
+            below = oracle.known_below(row, reading)
+            assert own**row.d * (1 - own)**below > other**row.d * (1 - other)**below
 
 
 @settings(max_examples=60, deadline=None)

@@ -49,10 +49,15 @@ def test_substreams_are_distinct_across_fields():
 
 
 def test_substream_validates_ranges():
-    for bad in [(-1, 0, 0, 0), (1 << 64, 0, 0, 0), (0, -1, 0, 0),
-                (0, 0, 16, 0), (0, 0, 0, 1 << 16)]:
+    nan = float("nan")
+    for bad in [(-1, 0, 0, 0), (1 << 64, 0, 0, 0), (1 << 2000, 0, 0, 0), (0, -1, 0, 0),
+                (0, 0, 16, 0), (0, 0, 0, 1 << 16),
+                (0, 2.7, 0, 0), (0.5, 0, 0, 0), (nan, 0, 0, 0), (0, 0, 0.5, 0),
+                (0, 0, 0, 1.5), (0, 0, 0, nan), (0, 0, 0, float("inf"))]:
         with pytest.raises(InvalidParameterError):
             substream(*bad)
+    with pytest.raises(InvalidParameterError):
+        run_study(SimConfig(mu=0.0, sigma=1.0, n=5, m=3), grid_point=1.5)
 
 
 # ---------------------------------------------------------------- samplers
@@ -192,6 +197,7 @@ def test_config_validation():
         dict(mu=0.0, sigma=1.0, m=0),
         dict(mu=0.0, sigma=1.0, seed=-1),
         dict(mu=0.0, sigma=1.0, seed=1 << 64),
+        dict(mu=0.0, sigma=1.0, seed=1 << 2000),  # too large for a float
         dict(mu=0.0, sigma=1.0, n=50.9),
         dict(mu=0.0, sigma=1.0, m=10.7),
         dict(mu=0.0, sigma=1.0, seed=3.9),
