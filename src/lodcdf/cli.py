@@ -31,12 +31,10 @@ import sys
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import (
-    _MAX_GRID_POINT,
     AllCensoredError,
     IngestError,
     InvalidParameterError,
@@ -54,12 +52,15 @@ from .estimators import (
     rhr_mle_cdf,
     rhr_variance,
 )
+from .simulation import _MAX_GRID_POINT, SimConfig, run_study, sweep
 
-# The study engine loads scipy; estimate and compare never import it.
-if TYPE_CHECKING:
-    from .simulation import SimConfig
-
-METHODS = ("product-limit", "rhr-mle", "crhf-exp")
+# Each method's fit with its variances, where the method has them.
+_FITS = {
+    "product-limit": lambda table: greenwood_variance(table, product_limit_cdf(table)),
+    "rhr-mle": lambda table: rhr_variance(table, rhr_mle_cdf(table)),
+    "crhf-exp": crhf_exp_cdf,
+}
+METHODS = tuple(_FITS)
 
 # CSV cells are rendered this many rows at a time, so a large table never
 # holds more than one block of cell bytes at once.
@@ -125,9 +126,9 @@ def _cells(column: np.ndarray | None, rows: int) -> np.ndarray:
     return cells
 
 
-def _fmt(x: float | None) -> str:
-    """One float as a CSV cell; None (a value the method does not provide) is empty."""
-    return "" if x is None else _cells(np.array([float(x)]), 1).tobytes().rstrip(b"\0").decode()
+def _fmt(x: float) -> str:
+    """One float as a CSV cell."""
+    return _cells(np.array([float(x)]), 1).tobytes().rstrip(b"\0").decode()
 
 
 def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> list[bytes]:
@@ -225,16 +226,6 @@ def _json_rows(columns: dict[str, np.ndarray | None]) -> list[dict]:
     rows = len(next(iter(columns.values())))
     values = [[None] * rows if c is None else _json_values(c) for c in columns.values()]
     return [dict(zip(columns, row)) for row in zip(*values)]
-
-
-def _fit(table, method: str) -> StepCdf:
-    if method == "product-limit":
-        return greenwood_variance(table, product_limit_cdf(table))
-    if method == "rhr-mle":
-        return rhr_variance(table, rhr_mle_cdf(table))
-    if method == "crhf-exp":
-        return crhf_exp_cdf(table)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _parse_floats(text: str, *, flag: str) -> list[float]:
@@ -351,7 +342,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.eval_points is not None:
         points = np.array(_parse_floats(args.eval_points, flag="--eval-points"))
     names = METHODS if args.method == "all" else (args.method,)
-    fits = {name: _fit(table, name) for name in names}
+    fits = {name: _FITS[name](table) for name in names}
     render = _estimate_json if args.format == "json" else _estimate_csv
     _emit(render(fits, points, dataset.n), args.output)
     return 0
@@ -397,8 +388,6 @@ def _config_dict(cfg: SimConfig) -> dict:
 
 def _sim_config(args: argparse.Namespace, **params: float) -> SimConfig:
     """SimConfig from mu, sigma, mu_c, sigma_c and the shared study flags."""
-    from .simulation import SimConfig
-
     return SimConfig(
         **params,
         scheme=args.scheme,
@@ -412,8 +401,6 @@ def _sim_config(args: argparse.Namespace, **params: float) -> SimConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.mu is None or args.sigma is None:
         raise InvalidParameterError("simulate requires --mu and --sigma")
-    from .simulation import run_study
-
     cfg = _sim_config(args, mu=args.mu, sigma=args.sigma, mu_c=args.mu_c, sigma_c=args.sigma_c)
     result = run_study(cfg, jobs=args.jobs)
     doc = {
@@ -455,8 +442,6 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .simulation import sweep
-
     fixed: dict[str, float] = {}
     for item in args.fix or []:
         if "=" not in item:

@@ -42,10 +42,6 @@ class StudyDegenerateError(RuntimeError):
     """Every replication of a study came out fully censored."""
 
 
-# Grid points of a sweep: the key space of a study's substreams has 16 bits
-# for them. Here so the CLI can check --grid without loading the study engine.
-_MAX_GRID_POINT = 1 << 16
-
 _ALL_CENSORED = "every value is censored; no distribution estimate can be proposed"
 
 

@@ -28,14 +28,17 @@ bits of each word, and a limit-of-detection index is Lemire's bounded
 draw on a word's 32-bit halves; the rare row whose bounded draw would be
 rejected and redrawn is drawn through ``substream`` itself. The engine
 then transforms and censors the whole chunk at once, and computes both
-estimators and their distances row-wise through the code ``tally`` and
-the estimators run on one sample: ``data._runs`` sorts every row and
+estimators and their distances row-wise (``_ks_rows``). It shares two steps
+with ``tally`` and the estimators: ``data._runs`` sorts every row and
 counts its runs, and one ``estimators._tail_products`` call takes both
-estimators' suffix products. Its results are therefore bit-identical to
-fitting each replication on its own, and identical across runs. Public names:
+estimators' suffix products. The factors 1 - d/y and 1 - d/(y - q) it
+writes itself, as ``product_limit_cdf`` and ``rhr_mle_cdf`` do. Its
+results are bit-identical to fitting each replication on its own, and
+identical across runs. Public names:
 ``SimConfig``, ``StudyResult``, ``run_study``, ``sweep``, ``substream``,
-the two errors (defined in ``data``, so the CLI can map them to exit codes
-without loading scipy).
+the two errors (defined in ``data`` with the other error classes, because
+``estimate`` raises ``InvalidParameterError`` too). scipy is imported only
+inside ``_lognormal`` and ``_ks_rows``, so importing this module loads none.
 """
 
 from __future__ import annotations
@@ -44,9 +47,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .data import _MAX_GRID_POINT, InvalidParameterError, StudyDegenerateError, _frozen, _runs
+from .data import InvalidParameterError, StudyDegenerateError, _frozen, _runs
 from .estimators import _tail_products
 
 # Purpose slots inside a replication's key space.
@@ -56,6 +58,8 @@ CENSORING_DRAWS = 1
 _MAX_SEED = 1 << 64
 _MAX_REPLICATION = 1 << 44
 _MAX_N = 10**8
+# Grid points of a sweep: the low key word has 16 bits for them.
+_MAX_GRID_POINT = 1 << 16
 
 # Cells (replications x sample size) per chunk of the study engine; a
 # chunk holds at least one replication. Larger chunks make fewer numpy
@@ -106,6 +110,8 @@ def _lognormal(mu: float, sigma: float, k: np.ndarray) -> np.ndarray:
     a finite quantile. For k >= 2^52, k + 1/2 rounds to an integer: the
     upper half of the lattice is not centred, kept so for existing outputs.
     """
+    from scipy.special import ndtri
+
     u = (k.astype(np.float64) + 0.5) / float(1 << 53)
     return np.exp(mu + sigma * ndtri(np.minimum(u, np.nextafter(1.0, 0.0))))
 
@@ -284,6 +290,8 @@ def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
     at positions that are not jumps. A row without a detected value has no
     jump (has_jump False, distances 0).
     """
+    from scipy.special import ndtr
+
     rows, n = values.shape
     ends, v, d, total = _runs(values, detected)
     jump = d >= 1
@@ -346,7 +354,8 @@ def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyRes
             f"all {cfg.m} replications were fully censored; no estimator is defined"
         )
     indices = np.flatnonzero(kept)
-    return StudyResult(cfg, indices, kpl[kept], krh[kept], cfg.m - indices.size, grid_point=grid_point)
+    # _philox_words has checked grid_point through _key, so int() drops no fraction.
+    return StudyResult(cfg, indices, kpl[kept], krh[kept], cfg.m - indices.size, grid_point=int(grid_point))
 
 
 def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResult]:

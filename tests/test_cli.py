@@ -242,7 +242,7 @@ def test_csv_cells_are_the_scalar_evaluation(tmp_path_factory, pairs, method, at
     data, out = workdir / "data.csv", workdir / "fit.csv"
     data.write_text("value,detected\n" + "".join(f"{v!r},{int(flag)}\n" for v, flag in pairs))
     table = tally(Dataset.from_pairs(pairs))
-    fits = {name: cli._fit(table, name) for name in METHODS}
+    fits = {name: cli._FITS[name](table) for name in METHODS}
     support = fits["product-limit"].support.tolist()
     mids = [(a + b) / 2 for a, b in zip(support, support[1:])]
     points = [support[0] / 2, *support, *mids, support[-1] + 1] if at_points else support
@@ -458,6 +458,13 @@ def test_estimate_rejects_non_finite_eval_points(capsys):
     assert "--lods" in err
 
 
+def test_estimate_rejects_non_numeric_eval_points(capsys):
+    code, out, err = run(capsys, "estimate", str(SIX), "--eval-points", "a,b")
+    assert code == 5
+    assert out == ""
+    assert "--eval-points expects comma-separated numbers" in err
+
+
 @pytest.mark.parametrize("points", ["", ",", " "])
 def test_estimate_rejects_empty_eval_points(capsys, points):
     """An empty --eval-points is an error, not a request for the support table."""
@@ -626,6 +633,22 @@ def test_simulate_respects_env_seed(capsys, monkeypatch):
     assert json.loads(out)["config"]["seed"] == 777
 
 
+def test_simulate_rejects_a_non_integer_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("LODCDF_SEED", "abc")
+    code, out, err = run(capsys, "simulate", "--mu", "0", "--sigma", "1", "--n", "10", "--m", "4")
+    assert code == 5
+    assert out == ""
+    assert "LODCDF_SEED must be an integer" in err
+
+
+def test_simulate_prints_a_single_pair_standard_error_as_null(capsys):
+    code, out, _ = run(capsys, "simulate", "--mu", "0", "--sigma", "1", "--n", "10", "--m", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n_pairs"] == 1
+    assert doc["se_diff"] is None
+
+
 def test_simulate_requires_parameters(capsys):
     code, _, err = run(capsys, "simulate", "--m", "5")
     assert code == 5
@@ -679,11 +702,14 @@ def test_sweep_takes_model_parameters_only_through_fix(capsys):
 def test_sweep_rejects_bad_specs(capsys):
     bad = [
         ("sweep", "--grid", "n=1:2:2"),
+        ("sweep", "--grid", "mu"),
         ("sweep", "--grid", "sigma=0.5:4"),
         ("sweep", "--grid", "sigma=a:b:3"),
         ("sweep", "--grid", "sigma=0.5:4:0"),
         ("sweep", "--grid", "sigma=0.5:1:1000000000000"),
         ("sweep", "--fix", "scheme=x", "--grid", "sigma=1:2:2"),
+        ("sweep", "--fix", "mu", "--grid", "sigma=1:2:2"),
+        ("sweep", "--fix", "mu=abc", "--grid", "sigma=1:2:2"),
         ("sweep", "--fix", "sigma=1", "--grid", "sigma=1:2:2"),
         ("sweep", "--fix", "mu=1", "--fix", "mu=2", "--grid", "sigma=1:2:2"),
     ]

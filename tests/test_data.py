@@ -12,6 +12,7 @@ from lodcdf import (
     AllCensoredError,
     Dataset,
     IngestError,
+    TallyTable,
     data,
     ingest,
     tally,
@@ -245,6 +246,20 @@ def test_tally_hand_counts():
     assert t.censored.tolist() == [1, 0, 1, 0]
     assert t.at_or_below.tolist() == [2, 3, 5, 6]
     assert t.m == 4 and t.n == 6
+
+
+def test_tally_table_validation():
+    bad = [
+        (([], [], [], []), "share a positive length"),
+        (([1.0, 2.0], [1], [0, 0], [1, 2]), "share a positive length"),
+        (([2.0, 1.0], [1, 1], [0, 0], [1, 2]), "strictly increasing"),
+        (([1.0], [-1], [2], [1]), "nonnegative counts"),
+        (([1.0], [0], [0], [0]), "nonnegative counts"),
+        (([1.0, 2.0], [1, 1], [0, 0], [1, 3]), "cumulative row totals"),
+    ]
+    for arrays, message in bad:
+        with pytest.raises(ValueError, match=message):
+            TallyTable(*arrays)
 
 
 def test_exact_tally_drops_censored_only_rows():

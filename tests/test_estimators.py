@@ -387,6 +387,9 @@ def test_tail_products_tiny_factors_match_exact_products():
 
 
 def test_step_cdf_validation():
+    for support, values in (([], []), ([1.0, 2.0], [1.0])):
+        with pytest.raises(ValueError, match="share a positive length"):
+            StepCdf(np.array(support), np.array(values), 0.0, "x")
     with pytest.raises(ValueError):
         StepCdf(np.array([1.0, 1.0]), np.array([0.5, 1.0]), 0.0, "x")
     with pytest.raises(ValueError):
@@ -400,6 +403,10 @@ def test_step_cdf_validation():
         StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([0.0]))
     with pytest.raises(ValueError, match="together"):
         StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", lower_variance=0.0)
+    with pytest.raises(ValueError, match="align with the support"):
+        StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([0.0, 0.0]), lower_variance=0.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([-1.0]), lower_variance=0.0)
 
 
 def test_estimators_reject_a_tally_without_exact_rows():

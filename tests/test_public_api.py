@@ -54,6 +54,8 @@ import lodcdf
 steps.append(["import lodcdf", "scipy" in sys.modules])
 import lodcdf.cli
 steps.append(["import lodcdf.cli", "scipy" in sys.modules])
+import lodcdf.simulation
+steps.append(["import lodcdf.simulation", "scipy" in sys.modules])
 for argv in json.loads(sys.argv[1]):
     assert lodcdf.cli.main(argv) == 0, argv
     steps.append([" ".join(argv), "scipy" in sys.modules])
@@ -75,5 +77,6 @@ def test_estimate_and_compare_never_load_scipy(tmp_path):
                           capture_output=True, text=True, check=True)
     steps = json.loads(proc.stdout)
     assert [label for label, _ in steps] == (
-        ["import lodcdf", "import lodcdf.cli"] + [" ".join(argv) for argv in commands])
-    assert [loaded for _, loaded in steps] == [False] * 5 + [True]
+        ["import lodcdf", "import lodcdf.cli", "import lodcdf.simulation"]
+        + [" ".join(argv) for argv in commands])
+    assert [loaded for _, loaded in steps] == [False] * 6 + [True]

@@ -9,6 +9,7 @@ from lodcdf import (
     SimConfig,
     StepCdf,
     StudyDegenerateError,
+    StudyResult,
     product_limit_cdf,
     rhr_mle_cdf,
     run_study,
@@ -58,6 +59,14 @@ def test_substream_validates_ranges():
             substream(*bad)
     with pytest.raises(InvalidParameterError):
         run_study(SimConfig(mu=0.0, sigma=1.0, n=5, m=3), grid_point=1.5)
+
+
+def test_run_study_stores_grid_point_as_int():
+    cfg = SimConfig(mu=0.0, sigma=1.0, n=5, m=3)
+    for grid_point, expected in ((2.0, 2), (np.int64(2), 2), (True, 1)):
+        result = run_study(cfg, grid_point=grid_point)
+        assert type(result.grid_point) is int
+        assert result.grid_point == expected
 
 
 # ---------------------------------------------------------------- samplers
@@ -192,6 +201,7 @@ def test_config_validation():
         dict(mu=0.0, sigma=1.0, scheme="nope"),
         dict(mu=0.0, sigma=1.0, lods=()),
         dict(mu=0.0, sigma=1.0, lods=(0.5, -1.0)),
+        dict(mu=0.0, sigma=1.0, mu_c=float("nan")),
         dict(mu=0.0, sigma=1.0, sigma_c=0.0),
         dict(mu=0.0, sigma=1.0, n=1),
         dict(mu=0.0, sigma=1.0, m=0),
@@ -249,6 +259,8 @@ def test_study_all_degenerate_raises():
 
 def test_worker_count_does_not_change_results():
     cfg = SimConfig(mu=0.0, sigma=1.0, scheme="random", n=20, m=24, seed=77)
+    with pytest.raises(InvalidParameterError, match="jobs"):
+        run_study(cfg, jobs=0)
     serial = run_study(cfg, jobs=1)
     for jobs in (2, 5):
         parallel = run_study(cfg, jobs=jobs)
@@ -278,6 +290,19 @@ def test_sweep_validates():
         sweep(cfg, "sigma", [])
     with pytest.raises(InvalidParameterError):
         sweep(cfg, "sigma", [-1.0])
+    with pytest.raises(InvalidParameterError, match="limited to 65536"):
+        sweep(cfg, "sigma", [1.0] * 65537)
+
+
+def test_study_result_validation():
+    cfg = SimConfig(mu=0.0, sigma=1.0, m=2)
+    with pytest.raises(ValueError, match="share one length"):
+        StudyResult(cfg, [0, 1], [0.1], [0.1, 0.2], 0)
+    with pytest.raises(ValueError, match="count to m"):
+        StudyResult(cfg, [0], [0.1], [0.2], 0)
+    single = StudyResult(cfg, [0], [0.1], [0.2], 1)
+    assert single.n_pairs == 1
+    assert math.isnan(single.se_diff)
 
 
 def test_mean_diff_and_se_definitions():
