@@ -52,7 +52,7 @@ from .estimators import (
     rhr_mle_cdf,
     rhr_variance,
 )
-from .simulation import _MAX_GRID_POINT, SimConfig, run_study, sweep
+from .simulation import _MAX_GRID_POINT, SimConfig, _integer, run_study, sweep
 
 # Each method's fit with its variances, where the method has them.
 _FITS = {
@@ -430,15 +430,10 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
     if len(parts) != 3:
         raise InvalidParameterError(f"--grid expects NAME=START:STOP:COUNT, got {text!r}")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InvalidParameterError(f"--grid expects numeric START:STOP and integer COUNT, got {text!r}")
-    if count < 1:
-        raise InvalidParameterError(f"--grid COUNT must be at least 1, got {count}")
-    if count > _MAX_GRID_POINT:
-        raise InvalidParameterError(f"--grid COUNT is limited to {_MAX_GRID_POINT}, got {count}")
-    return name, np.linspace(start, stop, count)
+    return name, np.linspace(start, stop, _integer("--grid COUNT", count, 1, _MAX_GRID_POINT))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -115,10 +115,10 @@ class TallyTable:
     at_or_below: np.ndarray  # cumulative count <= value
 
     def __post_init__(self):
-        values = _frozen(np.asarray(self.values, dtype=np.float64))
-        exact = _frozen(np.asarray(self.exact, dtype=np.int64))
-        censored = _frozen(np.asarray(self.censored, dtype=np.int64))
-        cum = _frozen(np.asarray(self.at_or_below, dtype=np.int64))
+        for name, dtype in (("values", np.float64), ("exact", np.int64), ("censored", np.int64),
+                            ("at_or_below", np.int64)):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
+        values, exact, censored, cum = self.values, self.exact, self.censored, self.at_or_below
         if not (values.size == exact.size == censored.size == cum.size >= 1):
             raise ValueError("tally arrays must share a positive length")
         if values.size > 1 and not np.all(np.diff(values) > 0):
@@ -127,9 +127,6 @@ class TallyTable:
             raise ValueError("each tally row needs nonnegative counts summing to >= 1")
         if np.any(cum != np.cumsum(exact + censored)):
             raise ValueError("at_or_below must be the cumulative row totals")
-        for name, a in (("values", values), ("exact", exact),
-                        ("censored", censored), ("at_or_below", cum)):
-            object.__setattr__(self, name, a)
 
     @property
     def m(self) -> int:

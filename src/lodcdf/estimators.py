@@ -51,8 +51,8 @@ class StepCdf:
     lower_variance: float | None = None
 
     def __post_init__(self):
-        support = _frozen(np.asarray(self.support, dtype=np.float64))
-        values = _frozen(np.asarray(self.values, dtype=np.float64))
+        support = _frozen(np.array(self.support, dtype=np.float64))
+        values = _frozen(np.array(self.values, dtype=np.float64))
         if support.size == 0 or support.size != values.size:
             raise ValueError("support and values must share a positive length")
         if support.size > 1 and not np.all(np.diff(support) > 0):
@@ -67,7 +67,7 @@ class StepCdf:
         if (variances is None) != (self.lower_variance is None):
             raise ValueError("variances and lower_variance must be given together")
         if variances is not None:
-            variances = _frozen(np.asarray(variances, dtype=np.float64))
+            variances = _frozen(np.array(variances, dtype=np.float64))
             if variances.size != support.size:
                 raise ValueError("variances must align with the support")
             if np.any(variances[np.isfinite(variances)] < 0):

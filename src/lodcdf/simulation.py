@@ -34,7 +34,8 @@ counts its runs, and one ``estimators._tail_products`` call takes both
 estimators' suffix products. The factors 1 - d/y and 1 - d/(y - q) it
 writes itself, as ``product_limit_cdf`` and ``rhr_mle_cdf`` do. Its
 results are bit-identical to fitting each replication on its own, and
-identical across runs. Public names:
+identical across runs. Every study number is checked once, on entry, by
+``_integer`` or ``_real``. Public names:
 ``SimConfig``, ``StudyResult``, ``run_study``, ``sweep``, ``substream``,
 the two errors (defined in ``data`` with the other error classes, because
 ``estimate`` raises ``InvalidParameterError`` too). scipy is imported only
@@ -44,6 +45,7 @@ inside ``_lognormal`` and ``_ks_rows``, so importing this module loads none.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +78,33 @@ _PHILOX_BUMP1 = 0xBB67AE8584CAA73B
 _LOW32 = 0xFFFFFFFF
 
 
+def _integer(name: str, value, lo: int, hi: float) -> int:
+    """``value`` as an int in [lo, hi], else InvalidParameterError naming ``name``. Refuses
+    bools, non-numbers, NaN, inf and fractions; the range is tested before ``float()``."""
+    problem = "an integer"
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = value.item() if isinstance(value, np.generic) else value  # compared without numpy casts
+        if value < lo:
+            problem = f"at least {lo}"
+        elif value > hi:  # a power of two reads 2**k
+            problem = f"at most {hi if hi & (hi - 1) else f'2**{hi.bit_length() - 1}'}"
+        elif isinstance(value, numbers.Integral) or float(value).is_integer():  # NaN is not
+            return int(value)
+    raise InvalidParameterError(f"{name} must be {problem}, got {value!r}")
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float, above 0 when ``positive``, else InvalidParameterError
+    naming ``name``. Refuses bools, non-numbers and ints beyond the float range."""
+    try:
+        real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or fraction beyond the float range
+        real = math.inf
+    if not (math.isfinite(real) and (real > 0 or not positive)):
+        raise InvalidParameterError(f"{name} must be a {'positive ' * positive}finite number, got {value!r}")
+    return real
+
+
 def _key(seed: int, replication: int, purpose: int, grid_point: int) -> int:
     """The 128-bit Philox key of one (replication, purpose) cell.
 
@@ -84,13 +113,10 @@ def _key(seed: int, replication: int, purpose: int, grid_point: int) -> int:
     64-bit word and (grid_point << 48) | (replication << 4) | purpose the
     low one.
     """
-    parts = {"seed": (seed, _MAX_SEED), "replication": (replication, _MAX_REPLICATION),
-             "purpose": (purpose, 16), "grid point": (grid_point, _MAX_GRID_POINT)}
-    for name, (value, limit) in parts.items():
-        if not (0 <= value < limit and float(value).is_integer()):  # NaN and inf fail the range
-            raise InvalidParameterError(
-                f"{name} must be an integer in [0, 2**{limit.bit_length() - 1}), got {value!r}")
-    seed, replication, purpose, grid_point = (int(value) for value, _ in parts.values())
+    seed = _integer("seed", seed, 0, _MAX_SEED - 1)
+    replication = _integer("replication", replication, 0, _MAX_REPLICATION - 1)
+    purpose = _integer("purpose", purpose, 0, 15)
+    grid_point = _integer("grid point", grid_point, 0, _MAX_GRID_POINT - 1)
     return (seed << 64) | (grid_point << 48) | (replication << 4) | purpose
 
 
@@ -118,7 +144,8 @@ def _lognormal(mu: float, sigma: float, k: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One study configuration: lifetime law, censoring scheme, sizes, seed."""
+    """One study configuration: lifetime law, censoring scheme, sizes, seed. Each
+    number is checked by ``_real`` or ``_integer`` and stored as a float or an int."""
 
     mu: float
     sigma: float
@@ -131,36 +158,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in (("mu", float), ("sigma", float), ("mu_c", float), ("sigma_c", float),
-                           ("n", int), ("m", int), ("seed", int)):
-            value = getattr(self, name)
-            # NaN and inf are not integral; a Python int too large for a float is.
-            if kind is int and not (isinstance(value, int) or float(value).is_integer()):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, kind(value))
-        object.__setattr__(self, "lods", tuple(float(v) for v in self.lods))
-        if not math.isfinite(self.mu):
-            raise InvalidParameterError(f"mu must be finite, got {self.mu}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidParameterError(f"sigma must be positive and finite, got {self.sigma}")
         if self.scheme not in ("time", "random"):
             raise InvalidParameterError(f"scheme must be 'time' or 'random', got {self.scheme!r}")
-        if len(self.lods) == 0 or any(not (math.isfinite(v) and v > 0) for v in self.lods):
-            raise InvalidParameterError(f"lods must be non-empty positive reals, got {self.lods}")
-        if not math.isfinite(self.mu_c):
-            raise InvalidParameterError(f"mu_c must be finite, got {self.mu_c}")
-        if not (math.isfinite(self.sigma_c) and self.sigma_c > 0):
-            raise InvalidParameterError(f"sigma_c must be positive and finite, got {self.sigma_c}")
-        if self.n < 2:
-            raise InvalidParameterError(f"n must be at least 2, got {self.n}")
-        if self.n >= _MAX_N:
-            raise InvalidParameterError(f"n must be below {_MAX_N}, got {self.n}")
-        if self.m < 1:
-            raise InvalidParameterError(f"m must be at least 1, got {self.m}")
-        if self.m > _MAX_REPLICATION:
-            raise InvalidParameterError(f"m must be at most 2**44, got {self.m}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        lods = tuple(_real("each LOD in lods", v, positive=True) for v in self.lods)
+        _integer("the number of lods", len(lods), 1, math.inf)
+        checked = dict(mu=_real("mu", self.mu), mu_c=_real("mu_c", self.mu_c), lods=lods,
+                       sigma=_real("sigma", self.sigma, positive=True),
+                       sigma_c=_real("sigma_c", self.sigma_c, positive=True),
+                       n=_integer("n", self.n, 2, _MAX_N - 1), m=_integer("m", self.m, 1, _MAX_REPLICATION),
+                       seed=_integer("seed", self.seed, 0, _MAX_SEED - 1))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -182,9 +190,10 @@ class StudyResult:
     def __post_init__(self):
         for name, dtype in (("indices", np.int64), ("ks_product_limit", np.float64),
                             ("ks_rhr_mle", np.float64)):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=dtype)))
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
         if not self.indices.size == self.ks_product_limit.size == self.ks_rhr_mle.size:
             raise ValueError("pair arrays must share one length")
+        _integer("n_degenerate", self.n_degenerate, 0, self.config.m)
         if self.indices.size + self.n_degenerate != self.config.m:
             raise ValueError("pairs plus degenerate replications must count to m")
 
@@ -230,16 +239,14 @@ def _philox_words(seed: int, grid_point: int, reps: range, purposes: tuple[int, 
     equals ``substream(seed, reps[r], purposes[p], grid_point)
     .bit_generator.random_raw(words)``: numpy's Philox4x64-10 with key
     words (low, high) from ``_key``, counters 1, 2, ... in word 0, and each
-    block's four outputs in buffer order. Keys are checked like
-    ``substream``'s, at both ends of ``reps``.
+    block's four outputs in buffer order. Keys are checked by the caller:
+    ``SimConfig`` bounds the seed and the replications, ``run_study`` the
+    grid point.
     """
-    for purpose in purposes:
-        for rep in (reps[0], reps[-1]):
-            _key(seed, rep, purpose, grid_point)
     blocks = -(-words // 4)
     # Axes (purpose, replication, block): the early rounds broadcast over
     # only the axes their inputs vary on.
-    low = np.arange(reps.start, reps.stop, dtype=np.uint64) << 4 | int(grid_point) << 48
+    low = np.arange(reps.start, reps.stop, dtype=np.uint64) << 4 | grid_point << 48
     k0 = (low | np.array(purposes, dtype=np.uint64)[:, None])[..., None]
     k1 = np.full((1, 1, 1), seed, dtype=np.uint64)
     c0 = np.arange(1, blocks + 1, dtype=np.uint64)
@@ -319,19 +326,16 @@ def _chunk(cfg: SimConfig, grid_point: int, reps: range
     # the parameters, not warned about.
     with np.errstate(over="ignore"):
         lifetimes = _lognormal(cfg.mu, cfg.sigma, lifetime_raw >> 11)
-    if not np.all(np.isfinite(lifetimes)):
-        raise InvalidParameterError(
-            f"lifetime draws overflow to infinity at mu={cfg.mu!r}, sigma={cfg.sigma!r}")
-    if cfg.scheme == "time":
-        lods = np.asarray(cfg.lods, dtype=np.float64)
-        thresholds = lods[_bounded_rows(censoring_raw, lods.size, cfg.n, cfg.seed, grid_point, reps)]
-    else:
-        with np.errstate(over="ignore"):
+        if cfg.scheme == "time":
+            lods = np.asarray(cfg.lods, dtype=np.float64)
+            thresholds = lods[_bounded_rows(censoring_raw, lods.size, cfg.n, cfg.seed, grid_point, reps)]
+        else:
             thresholds = _lognormal(cfg.mu_c, cfg.sigma_c, censoring_raw >> 11)
-        if not np.all(np.isfinite(thresholds)):
-            raise InvalidParameterError(
-                f"censoring threshold draws overflow to infinity at "
-                f"mu_c={cfg.mu_c!r}, sigma_c={cfg.sigma_c!r}")
+    for draws, what, mu, sigma in ((lifetimes, "lifetime", "mu", "sigma"),
+                                   (thresholds, "censoring threshold", "mu_c", "sigma_c")):
+        if not np.all(np.isfinite(draws)):
+            raise InvalidParameterError(f"{what} draws overflow to infinity at "
+                                        f"{mu}={getattr(cfg, mu)!r}, {sigma}={getattr(cfg, sigma)!r}")
     return _ks_rows(np.maximum(lifetimes, thresholds), lifetimes >= thresholds, cfg.mu, cfg.sigma)
 
 
@@ -339,12 +343,13 @@ def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyRes
     """Run all m replications of a study configuration, in chunks of
     _CHUNK_CELLS // n rows (at least one).
 
-    ``jobs`` must be at least 1; it is accepted for compatibility and the
-    result is the same for any value. Raises StudyDegenerateError when
-    every replication is fully censored.
+    ``grid_point`` must be an integer in [0, 65535], checked once per study.
+    ``jobs`` must be an integer of at least 1; it is accepted for
+    compatibility and the result is the same for any value. Raises
+    StudyDegenerateError when every replication is fully censored.
     """
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
+    _integer("jobs", jobs, 1, math.inf)
+    grid_point = _integer("grid point", grid_point, 0, _MAX_GRID_POINT - 1)
     step = max(1, _CHUNK_CELLS // cfg.n)
     chunks = [_chunk(cfg, grid_point, range(start, min(start + step, cfg.m)))
               for start in range(0, cfg.m, step)]
@@ -354,8 +359,7 @@ def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyRes
             f"all {cfg.m} replications were fully censored; no estimator is defined"
         )
     indices = np.flatnonzero(kept)
-    # _philox_words has checked grid_point through _key, so int() drops no fraction.
-    return StudyResult(cfg, indices, kpl[kept], krh[kept], cfg.m - indices.size, grid_point=int(grid_point))
+    return StudyResult(cfg, indices, kpl[kept], krh[kept], cfg.m - indices.size, grid_point=grid_point)
 
 
 def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResult]:
@@ -366,11 +370,10 @@ def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResu
     """
     if param not in ("mu", "sigma"):
         raise InvalidParameterError(f"sweep parameter must be 'mu' or 'sigma', got {param!r}")
-    values = [float(v) for v in grid]
+    values = sorted(_real(param, v) for v in grid)
     if not values:
         raise InvalidParameterError("sweep grid must be non-empty")
     if len(values) > _MAX_GRID_POINT:
         raise InvalidParameterError(f"sweep grid is limited to {_MAX_GRID_POINT} points")
-    values.sort()
     return [run_study(replace(base, **{param: value}), grid_point=position, jobs=jobs)
             for position, value in enumerate(values)]

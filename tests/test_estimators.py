@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from lodcdf import (
     AllCensoredError,
     Dataset,
+    SimConfig,
     StepCdf,
+    StudyResult,
     TallyTable,
     crhf_exp_cdf,
     ecdf,
@@ -407,6 +409,29 @@ def test_step_cdf_validation():
         StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([0.0, 0.0]), lower_variance=0.0)
     with pytest.raises(ValueError, match=">= 0"):
         StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([-1.0]), lower_variance=0.0)
+
+
+def test_records_copy_their_inputs():
+    """Building a record leaves the caller's arrays writable, and writing
+    to them afterwards does not reach the record."""
+    cases = [
+        (lambda a: TallyTable(*a), ("values", "exact", "censored", "at_or_below"),
+         [np.array([1.0, 2.0]), np.array([1, 1]), np.array([0, 1]), np.array([1, 3])]),
+        (lambda a: StepCdf(a[0], a[1], 0.0, "x", variances=a[2], lower_variance=0.0),
+         ("support", "values", "variances"),
+         [np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([0.1, 0.0])]),
+        (lambda a: StudyResult(SimConfig(mu=0.0, sigma=1.0, m=2), *a, 0),
+         ("indices", "ks_product_limit", "ks_rhr_mle"),
+         [np.array([0, 1]), np.array([0.1, 0.2]), np.array([0.3, 0.4])]),
+    ]
+    for build, fields, arrays in cases:
+        record = build(arrays)
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            assert a.flags.writeable
+            a[0] = 7
+        for name, want in zip(fields, before):
+            assert np.array_equal(getattr(record, name), want), name
 
 
 def test_estimators_reject_a_tally_without_exact_rows():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -54,16 +55,18 @@ def test_substream_validates_ranges():
     for bad in [(-1, 0, 0, 0), (1 << 64, 0, 0, 0), (1 << 2000, 0, 0, 0), (0, -1, 0, 0),
                 (0, 0, 16, 0), (0, 0, 0, 1 << 16),
                 (0, 2.7, 0, 0), (0.5, 0, 0, 0), (nan, 0, 0, 0), (0, 0, 0.5, 0),
-                (0, 0, 0, 1.5), (0, 0, 0, nan), (0, 0, 0, float("inf"))]:
+                (0, 0, 0, 1.5), (0, 0, 0, nan), (0, 0, 0, float("inf")),
+                (True, 0, 0, 0), (0, np.True_, 0, 0), (0, 0, True, 0), (0, 0, 0, np.True_)]:
         with pytest.raises(InvalidParameterError):
             substream(*bad)
-    with pytest.raises(InvalidParameterError):
-        run_study(SimConfig(mu=0.0, sigma=1.0, n=5, m=3), grid_point=1.5)
+    for grid_point in (1.5, 1 << 16, True):
+        with pytest.raises(InvalidParameterError):
+            run_study(SimConfig(mu=0.0, sigma=1.0, n=5, m=3), grid_point=grid_point)
 
 
 def test_run_study_stores_grid_point_as_int():
     cfg = SimConfig(mu=0.0, sigma=1.0, n=5, m=3)
-    for grid_point, expected in ((2.0, 2), (np.int64(2), 2), (True, 1)):
+    for grid_point, expected in ((2.0, 2), (np.int64(2), 2)):
         result = run_study(cfg, grid_point=grid_point)
         assert type(result.grid_point) is int
         assert result.grid_point == expected
@@ -213,6 +216,10 @@ def test_config_validation():
         dict(mu=0.0, sigma=1.0, seed=3.9),
         dict(mu=0.0, sigma=1.0, n=float("nan")),
         dict(mu=0.0, sigma=1.0, m=float("inf")),
+        dict(mu=0.0, sigma=1.0, m=True),
+        dict(mu="1.5", sigma=1.0),
+        dict(mu=True, sigma=1.0),
+        dict(mu=0.0, sigma=1.0, lods=("a",)),
     ]
     for kwargs in bad:
         with pytest.raises(InvalidParameterError):
@@ -259,8 +266,9 @@ def test_study_all_degenerate_raises():
 
 def test_worker_count_does_not_change_results():
     cfg = SimConfig(mu=0.0, sigma=1.0, scheme="random", n=20, m=24, seed=77)
-    with pytest.raises(InvalidParameterError, match="jobs"):
-        run_study(cfg, jobs=0)
+    for jobs in (0, 1.5, True):
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            run_study(cfg, jobs=jobs)
     serial = run_study(cfg, jobs=1)
     for jobs in (2, 5):
         parallel = run_study(cfg, jobs=jobs)
@@ -300,9 +308,29 @@ def test_study_result_validation():
         StudyResult(cfg, [0, 1], [0.1], [0.1, 0.2], 0)
     with pytest.raises(ValueError, match="count to m"):
         StudyResult(cfg, [0], [0.1], [0.2], 0)
+    with pytest.raises(InvalidParameterError, match="n_degenerate"):
+        StudyResult(cfg, [0, 1, 2], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3], -1)
     single = StudyResult(cfg, [0], [0.1], [0.2], 1)
     assert single.n_pairs == 1
     assert math.isnan(single.se_diff)
+
+
+# sha256 of the lines f"{i},{pl:.7g},{rhr:.7g}" over (indices, ks_product_limit,
+# ks_rhr_mle), joined by newlines. Rounding to %.7g keeps last-bit differences
+# of np.exp between hosts out of the digest; a change to the draw recipe or
+# the KS step, or one to the log-normal transform above that rounding, moves it.
+STUDY_DIGESTS = {
+    "time": "45416d92addb67c90d1f1c6eb64e5cc9fc54ecd88604d2886f994f5ca97c18ff",
+    "random": "d3069a63f5ddfbe56b7ebe0d49b4bfe4af11066011ed4eb21d372aa6091609c5",
+}
+
+
+@pytest.mark.parametrize("scheme", list(STUDY_DIGESTS))
+def test_study_values_keep_their_digest(scheme):
+    res = run_study(SimConfig(mu=0.0, sigma=1.0, scheme=scheme, n=50, m=200, seed=7))
+    lines = (f"{i},{pl:.7g},{rhr:.7g}"
+             for i, pl, rhr in zip(res.indices, res.ks_product_limit, res.ks_rhr_mle))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == STUDY_DIGESTS[scheme]
 
 
 def test_mean_diff_and_se_definitions():

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from lodcdf import (
     AllCensoredError,
     Dataset,
-    InvalidParameterError,
     SimConfig,
     StudyDegenerateError,
     product_limit_cdf,
@@ -174,15 +173,6 @@ def test_chunk_draws_equal_substream_integers(k, n):
                 censoring = substream(seed, rep, purposes[1], grid_point)
                 assert np.array_equal(top, lifetime.integers(0, 1 << 53, size=n, dtype=np.int64))
                 assert np.array_equal(lod, censoring.integers(0, k, size=n))
-
-
-def test_philox_words_validate_keys_like_substream():
-    for seed, reps, purpose, grid_point in [(1 << 64, range(0, 1), 0, 0), (-1, range(0, 1), 0, 0),
-                                            (0, range((1 << 44) - 1, (1 << 44) + 1), 0, 0),
-                                            (0, range(-1, 2), 0, 0), (0, range(0, 1), 16, 0),
-                                            (0, range(0, 1), 0, 1 << 16)]:
-        with pytest.raises(InvalidParameterError):
-            simulation._philox_words(seed, grid_point, reps, (0, purpose), 4)
 
 
 def test_rejecting_rows_are_drawn_through_substream(monkeypatch):
