@@ -86,23 +86,24 @@ def _cells(column: np.ndarray | None, rows: int) -> np.ndarray:
     correctly rounded: the scaled value carries one rounding (under 2e-9),
     and cells where it lies within 1e-6 of a half or outside [1e6, 1e7)
     are formatted one by one, like zero, negatives, subnormals, inf, NaN
-    and other exponents.
+    and other exponents. Every lane is laid out; those formatted one by
+    one get the stand-in 1.0 (no overflow) and digits 10**6, then are
+    overwritten.
     """
     if column is None:
         return np.zeros((rows, 0), dtype=np.uint8)
     if column.dtype.kind in "biu":
         return column.astype(np.int64).astype("S20").view(np.uint8).reshape(rows, 20)
     x = column.astype(np.float64)
-    cells = np.zeros((rows, 2), dtype="<u8")
+    cells = np.empty((rows, 2), dtype="<u8")
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(x))
     fast = (e >= -4) & (e <= 6)  # NaN, inf, zero and negatives compare False
-    e = e[fast].astype(np.int64)
-    s = x[fast] * _POW10[6 - e]
+    e = np.where(fast, e, 0).astype(np.int64)
+    s = np.where(fast, x, 1.0) * _POW10[6 - e]
     m = np.rint(s)
-    exact = (s >= 1e6) & (m < 1e7) & (np.abs(s - np.floor(s) - 0.5) >= 1e-6)
-    fast[fast] = exact
-    e, m = e[exact], m[exact].astype(np.int64)
+    fast &= (s >= 1e6) & (m < 1e7) & (np.abs(s - np.floor(s) - 0.5) >= 1e-6)
+    m = np.where(fast, m, 1e6).astype(np.int64)
     # The digits as bytes 0-6 of a word. XOR with ASCII "0"s leaves digit j
     # in byte j, so the kept digits end at the highest nonzero byte.
     digits = _QUAD[m // 1000] | (_QUAD[m % 1000] >> 8) << 32
@@ -117,8 +118,8 @@ def _cells(column: np.ndarray | None, rows: int) -> np.ndarray:
     lo = np.where(point, (digits & _MASK[p]) | 46 << 8 * p | (digits >> 8 * p) << 8 * p + 8,
                   _LEAD & _MASK[q] | digits << 8 * q)
     hi = np.where(point, 0, digits >> 64 - 8 * q)
-    cells[fast, 0] = lo & _MASK[np.minimum(length, 8)]
-    cells[fast, 1] = hi & _MASK[np.maximum(length, 8) - 8]
+    cells[:, 0] = lo & _MASK[np.minimum(length, 8)]
+    cells[:, 1] = hi & _MASK[np.maximum(length, 8) - 8]
     cells = cells.view(np.uint8)
     if not fast.all():
         text = ["unstable" if v != v else format(v, ".7g") for v in x[~fast].tolist()]
@@ -142,8 +143,14 @@ def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> list[bytes
     for start in range(0, rows, _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, rows - start)
         comma = np.full((n, 1), ord(","), np.uint8)
-        line = [part for c in columns.values()
-                for part in (_cells(c if c is None else c[start:start + n], n), comma)]
+        blocks = [c if c is None else c[start:start + n] for c in columns.values()]
+        # A block with the dtype and bytes of an earlier one reuses its
+        # cells; equal values are not enough (-0.0 == 0.0, 10**7 == 1e7).
+        keys = [b if b is None else (b.dtype, b.tobytes()) for b in blocks]
+        line: list[np.ndarray] = []
+        for i, (b, key) in enumerate(zip(blocks, keys)):
+            j = keys.index(key)
+            line += (line[2 * j] if j < i else _cells(b, n), comma)
         line[-1] = np.full((n, 1), ord("\n"), np.uint8)
         parts.append(np.concatenate(line, axis=1).tobytes().translate(None, b"\0"))
     return parts
@@ -152,7 +159,7 @@ def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> list[bytes
 def _json(doc: dict) -> list[bytes]:
     """``json.dumps(doc, indent=2)`` plus a newline, as the one block ``_emit`` writes."""
     parts: list[str] = []
-    _indented(doc, "\n", parts)
+    _indented(doc, "\n", parts, {})
     parts.append("\n")
     return ["".join(parts).encode()]
 
@@ -160,7 +167,7 @@ def _json(doc: dict) -> list[bytes]:
 _SCALARS = {str, int, float, bool, type(None)}
 
 
-def _indented(obj, nl: str, parts: list[str]) -> None:
+def _indented(obj, nl: str, parts: list[str], encoded: dict) -> None:
     """Append ``json.dumps(obj, indent=2)`` for a value whose lines start with ``nl``.
 
     The indented encoder is pure Python. Lists of scalars, and lists of
@@ -169,13 +176,15 @@ def _indented(obj, nl: str, parts: list[str]) -> None:
     break never occurs inside an encoded string, so the separators between
     the rows of a table can be found and re-indented with one replace.
     Dict keys are strings, as in every document the commands write.
+    ``encoded`` keeps each scalar list's text by list object and indent,
+    so a list that occurs more than once in a document is encoded once.
     """
     inner = nl + "  "
     if isinstance(obj, dict) and obj:
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):
             parts.append(("," if i else "") + inner + json.dumps(key) + ": ")
-            _indented(value, inner, parts)
+            _indented(value, inner, parts, encoded)
         parts.append(nl + "}")
         return
     if not (isinstance(obj, (list, tuple)) and obj):
@@ -183,7 +192,10 @@ def _indented(obj, nl: str, parts: list[str]) -> None:
         return
     kinds = set(map(type, obj))
     if kinds <= _SCALARS:
-        parts += ("[" + inner, _c_encoded(obj, inner)[1:-1], nl + "]")
+        key = id(obj), inner
+        if key not in encoded:
+            encoded[key] = _c_encoded(obj, inner)[1:-1]
+        parts += ("[" + inner, encoded[key], nl + "]")
         return
     if kinds == {dict} or kinds <= {list, tuple}:
         row_items = map(dict.values, obj) if kinds == {dict} else obj
@@ -197,7 +209,7 @@ def _indented(obj, nl: str, parts: list[str]) -> None:
     parts.append("[")
     for i, value in enumerate(obj):
         parts.append(("," if i else "") + inner)
-        _indented(value, inner, parts)
+        _indented(value, inner, parts, encoded)
     parts.append(nl + "]")
 
 
@@ -311,22 +323,33 @@ def _estimate_csv(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -
     return _csv(header, columns | {"se_product_limit": np.sqrt(pl_var), "se_rhr_mle": np.sqrt(rhr_var)})
 
 
-def _step_json(f: StepCdf) -> dict:
+def _step_json(f: StepCdf, listed) -> dict:
     out = {
         "method": f.method,
         "lower_value": f.lower_value,
         "lower_variance": _json_safe(f.lower_variance),
-        "support": f.support.tolist(),
-        "values": f.values.tolist(),
+        "support": listed(f.support),
+        "values": listed(f.values),
     }
     if f.variances is not None:
-        out["variances"] = _json_values(f.variances)
-        out["stderr"] = _json_values(np.sqrt(f.variances))
+        out["variances"] = listed(f.variances)
+        out["stderr"] = listed(np.sqrt(f.variances))
     return out
 
 
 def _estimate_json(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -> list[bytes]:
-    doc: dict = {"n": n, "estimates": [_step_json(f) for f in fits.values()]}
+    # One list object per distinct array (same dtype, same bytes), which
+    # _json then encodes once: the fits share a support, and on tie-free
+    # data the product-limit and RHR-MLE values are equal.
+    lists: dict[tuple, list] = {}
+
+    def listed(column: np.ndarray) -> list:
+        key = column.dtype, column.tobytes()
+        if key not in lists:
+            lists[key] = _json_values(column)
+        return lists[key]
+
+    doc: dict = {"n": n, "estimates": [_step_json(f, listed) for f in fits.values()]}
     if points is not None:
         columns = {"t": points}
         for name, f in fits.items():

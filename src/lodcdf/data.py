@@ -189,10 +189,13 @@ def _fast(block: str, no_rows: bool) -> tuple[np.ndarray, np.ndarray] | None:
     if no_rows and block[:len(header)].lower() == header:
         block = block[len(header):]
     n = block.count("\n")
-    # One comma per row, and every row ends in ",0" or ",1".
-    if block.count(",") != n or block.count(",0\n") + block.count(",1\n") != n:
+    # Every line ends in ",0" or ",1", and 2n + 1 cells (commas + newlines
+    # + 1) leave one comma a line: the cells alternate value, flag.
+    if block.count(",0\n") + block.count(",1\n") != n:
         return None
     cells = block.replace("\n", ",").split(",")
+    if len(cells) != 2 * n + 1:
+        return None
     try:
         values = np.fromiter(map(float, cells[0:-1:2]), np.float64, n)
     except ValueError:
@@ -241,15 +244,15 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
     text = _read(source)
     values: list[np.ndarray] = []
     detected: list[np.ndarray] = []
-    start, lineno, no_rows = 0, 1, True
+    start, no_rows = 0, True
     while start < len(text):
         end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
         block = text[start:end]
-        v, d = _fast(block, no_rows) or _scan(block.split("\n"), lineno, no_rows)
+        # Only a block left to _scan needs its first line's number.
+        v, d = _fast(block, no_rows) or _scan(block.split("\n"), text.count("\n", 0, start) + 1, no_rows)
         values.append(v)
         detected.append(d)
         no_rows = no_rows and not v.size
-        lineno += block.count("\n")
         start = end
     if no_rows:
         raise IngestError("no observations found")
@@ -258,23 +261,31 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
 
 def _runs(values: np.ndarray, detected: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sort along the last axis and count each run of equal values.
+    """Sort float64 values >= 0 along the last axis and count each run of equal values.
 
     Returns (ends, value, exact, total) per run, in sorted order and row
-    after row: the flat position of the run's last element, the run's first
-    value, its detected count and its length. Runs never cross rows. The
-    sort need not be stable: a run's counts do not depend on the order
-    inside it.
+    after row: the flat position of the run's last element, the run's
+    value, its detected count and its length. Runs never cross rows.
+
+    One sort orders packed keys ``bits << 1 | detected``: doubles >= 0
+    order as their bit patterns, the low bit carries the flag, and the
+    shift drops the sign bit, so -0.0 and 0.0 share a run. That run is
+    named by the zero an argsort puts first, as ``np.unique`` names it.
     """
-    order = np.argsort(values, axis=-1)
-    sorted_values = np.take_along_axis(values, order, axis=-1)
+    key = values.view(np.uint64) << 1
+    key |= detected
+    key.sort(axis=-1)
+    bits = key >> 1
     last = np.ones(values.shape, dtype=bool)
-    last[..., :-1] = sorted_values[..., 1:] != sorted_values[..., :-1]
+    last[..., :-1] = bits[..., 1:] != bits[..., :-1]
     ends = np.flatnonzero(last)
-    exact = np.diff(np.cumsum(np.take_along_axis(detected, order, axis=-1))[ends], prepend=0)
+    exact = np.diff(np.cumsum((key & 1).view(np.int64))[ends], prepend=0)
     total = np.diff(ends, prepend=-1)
-    # -0.0 and 0.0 share a run; the run's first value names it.
-    return ends, sorted_values.ravel()[ends - total + 1], exact, total
+    value = bits.ravel()[ends].view(np.float64)
+    if np.signbit(values).any():
+        first = np.take_along_axis(values, np.argsort(values, axis=-1)[..., :1], axis=-1)
+        value[(ends - total + 1) % values.shape[-1] == 0] = first.ravel()
+    return ends, value, exact, total
 
 
 def tally(dataset: Dataset) -> TallyTable:

@@ -316,11 +316,23 @@ def test_rendered_cells_are_the_scalar_format(rows, block_rows):
     """Float, integer, flag and None columns render cell by cell as the
     scalar oracle formats them, whatever the block size; ``_fmt`` too."""
     floats, ints, flags = (list(c) for c in zip(*rows))
-    columns = {"x": np.array(floats), "n": np.array(ints, dtype=np.int64),
-               "tie": np.array(flags), "none": None}
-    expected = [",".join(map(fmt_cell, (x, n, b, None))) for x, n, b in rows]
+    x = np.array(floats)
+    columns = {"x": x, "n": np.array(ints, dtype=np.int64),
+               "tie": np.array(flags), "none": None, "x_again": x}
+    expected = [",".join(map(fmt_cell, (x, n, b, None, x))) for x, n, b in rows]
     assert _rendered(columns, block_rows) == expected
     assert [cli._fmt(x) for x in floats] == list(map(fmt_cell, floats))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+def test_columns_render_once_only_when_dtype_and_bytes_match(block_rows):
+    """Equal values are not enough to share cells: -0.0 == 0.0 and
+    10**7 == 1e7, but each prints its own way."""
+    columns = {"a": np.array([0.0, 1.0]), "b": np.array([-0.0, 1.0]), "c": np.array([-0.0, 1.0]),
+               "d": np.array([0.0, 1.0])}
+    assert _rendered(columns, block_rows) == ["0,-0,-0,0", "1,1,1,1"]
+    columns = {"x": np.array([1e7]), "n": np.array([10_000_000]), "m": np.array([10_000_000])}
+    assert _rendered(columns, block_rows) == ["1e+07,10000000,10000000"]
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 4096])

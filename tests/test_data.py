@@ -232,6 +232,19 @@ def test_plain_rows_take_the_fast_path(text, block_chars):
         _outcome(lambda: ingest(io.StringIO(text)))
 
 
+@pytest.mark.parametrize("bad, message", [("1,2,1\n", "expected 2 fields, got 3"),
+                                          ("0\n1,0,1\n", "expected 2 fields, got 1")])
+def test_misaligned_rows_in_a_later_block_name_their_line(bad, message):
+    """One comma per row and a 0/1 flag at each line end keep the fast
+    path's cells aligned; a block failing either is scanned line by line,
+    and the error names the line counted over the whole text."""
+    assert data._fast(bad, False) is None
+    text = "value,detected\n1,1\n2,0\n" + bad
+    with mock.patch.object(data, "_BLOCK_CHARS", 4):
+        with pytest.raises(IngestError, match=f"^line 4: {message}"):
+            ingest(io.StringIO(text))
+
+
 def test_ingest_fixture():
     d = ingest(FIXTURES / "six_obs.csv")
     assert d.n == 6
@@ -326,6 +339,20 @@ def test_tally_groups_like_a_dict_count(pairs, censored_only):
     assert t.exact.tolist() == exact
     assert t.censored.tolist() == censored
     assert t.at_or_below.tolist() == np.cumsum(np.add(exact, censored)).tolist()
+
+
+def test_tally_groups_neighbouring_doubles_apart():
+    """Values one ulp apart, the smallest subnormal beside zero and the
+    largest finite double each keep their own row."""
+    big = np.finfo(np.float64).max
+    values = np.array([1.0, np.nextafter(1.0, 2.0), 5e-324, 0.0, big, np.nextafter(big, 0.0),
+                       1.0, 0.0, big, 5e-324])
+    detected = np.array([True, False, True, False, True, True, False, True, False, False])
+    t = tally(Dataset(values, detected))
+    keys, exact, censored = _dict_tally(values.tolist(), detected.tolist())
+    assert t.values.tobytes() == np.array(keys).tobytes()
+    assert t.exact.tolist() == exact == [1, 1, 1, 0, 1, 1]
+    assert t.censored.tolist() == censored == [1, 1, 1, 1, 0, 1]
 
 
 @pytest.mark.parametrize("values", [[-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [0.0] * 5 + [-0.0] * 5 + [1.0],

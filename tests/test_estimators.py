@@ -116,12 +116,13 @@ def test_six_obs_quantiles():
 
 def test_quantile_at_or_below_lower_value_is_the_first_jump():
     """For p <= lower_value the generalized inverse lies below the first
-    jump, where nothing was observed; the documented answer is support[0],
-    an upper bound of it."""
+    jump, where nothing was observed, so no quantile is returned."""
     _, pl, _, _ = fits([(0.5, False), (0.5, True), (1.0, True)])
     assert pl.lower_value == pytest.approx(1 / 3)
     for p in (1e-9, pl.lower_value):
-        assert quantile_from_cdf(pl, p) == 0.5
+        with pytest.raises(ValueError, match="lower_value"):
+            quantile_from_cdf(pl, p)
+    assert quantile_from_cdf(pl, math.nextafter(pl.lower_value, 1.0)) == 0.5
 
 
 def test_all_exact_quantile():
@@ -280,11 +281,14 @@ def test_mean_policies_bracket(pairs):
 @given(pair_lists(max_n=40), st.floats(0.01, 1.0))
 def test_quantile_is_generalized_inverse(pairs, p):
     _, pl, _, _ = fits(pairs)
+    if p <= pl.lower_value:
+        with pytest.raises(ValueError, match="lower_value"):
+            quantile_from_cdf(pl, p)
+        return
     t = quantile_from_cdf(pl, p)
     k = pl.support.tolist().index(t)
     assert pl.values[k] >= p
-    if k > 0:
-        assert pl.values[k - 1] < p
+    assert (pl.values[k - 1] if k > 0 else pl.lower_value) < p
 
 
 # ------------------------------------------------------ likelihood checks
