@@ -13,8 +13,6 @@ import numpy as np
 from .data import Dataset, tally
 from .estimators import StepCdf
 
-__all__ = ["SubstitutionStrategy", "substitution_mean", "ecdf"]
-
 
 class SubstitutionStrategy(enum.Enum):
     """What to substitute for a censored value v before averaging."""

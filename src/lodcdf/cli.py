@@ -52,7 +52,7 @@ from .estimators import (
     rhr_mle_cdf,
     rhr_variance,
 )
-from .simulation import _MAX_GRID_POINT, SimConfig, _integer, run_study, sweep
+from .simulation import _MAX_GRID_POINT, SimConfig, _integer, _real, run_study, sweep
 
 # Each method's fit with its variances, where the method has them.
 _FITS = {
@@ -122,14 +122,14 @@ def _cells(column: np.ndarray | None, rows: int) -> np.ndarray:
     cells[:, 1] = hi & _MASK[np.maximum(length, 8) - 8]
     cells = cells.view(np.uint8)
     if not fast.all():
-        text = ["unstable" if v != v else format(v, ".7g") for v in x[~fast].tolist()]
+        text = [_fmt(v) for v in x[~fast].tolist()]
         cells[~fast] = np.array(text, dtype="S16").view(np.uint8).reshape(-1, 16)
     return cells
 
 
 def _fmt(x: float) -> str:
-    """One float as a CSV cell."""
-    return _cells(np.array([float(x)]), 1).tobytes().rstrip(b"\0").decode()
+    """One float as a CSV cell: C's %.7g, NaN as 'unstable'. ``_cells`` is its vectorized form."""
+    return "unstable" if x != x else format(x, ".7g")
 
 
 def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> list[bytes]:
@@ -157,7 +157,8 @@ def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> list[bytes
 
 
 def _json(doc: dict) -> list[bytes]:
-    """``json.dumps(doc, indent=2)`` plus a newline, as the one block ``_emit`` writes."""
+    """``json.dumps(doc, indent=2)`` plus a newline, as the one block ``_emit``
+    writes, a 1-D numpy array being the list ``_json_values`` makes of it."""
     parts: list[str] = []
     _indented(doc, "\n", parts, {})
     parts.append("\n")
@@ -170,14 +171,15 @@ _SCALARS = {str, int, float, bool, type(None)}
 def _indented(obj, nl: str, parts: list[str], encoded: dict) -> None:
     """Append ``json.dumps(obj, indent=2)`` for a value whose lines start with ``nl``.
 
-    The indented encoder is pure Python. Lists of scalars, and lists of
-    flat dicts or lists (row tables), therefore go through the C encoder,
-    whose item separator carries the line break and indent. A raw line
-    break never occurs inside an encoded string, so the separators between
-    the rows of a table can be found and re-indented with one replace.
-    Dict keys are strings, as in every document the commands write.
-    ``encoded`` keeps each scalar list's text by list object and indent,
-    so a list that occurs more than once in a document is encoded once.
+    The indented encoder is pure Python. Lists of scalars, 1-D numpy
+    arrays, and lists of flat dicts or lists (row tables), therefore go
+    through the C encoder, whose item separator carries the line break and
+    indent. A raw line break never occurs inside an encoded string, so the
+    separators between the rows of a table can be found and re-indented
+    with one replace. Dict keys are strings, as in every document the
+    commands write. ``encoded`` keeps each array's text by dtype, bytes
+    and indent, the key ``_csv`` uses, so an array occurring more than
+    once is encoded once. Arrays are never empty.
     """
     inner = nl + "  "
     if isinstance(obj, dict) and obj:
@@ -187,15 +189,18 @@ def _indented(obj, nl: str, parts: list[str], encoded: dict) -> None:
             _indented(value, inner, parts, encoded)
         parts.append(nl + "}")
         return
+    if isinstance(obj, np.ndarray):
+        key = obj.dtype, obj.tobytes(), inner
+        if key not in encoded:
+            encoded[key] = _c_encoded(_json_values(obj), inner)[1:-1]
+        parts += ("[" + inner, encoded[key], nl + "]")
+        return
     if not (isinstance(obj, (list, tuple)) and obj):
         parts.append(json.dumps(obj))
         return
     kinds = set(map(type, obj))
     if kinds <= _SCALARS:
-        key = id(obj), inner
-        if key not in encoded:
-            encoded[key] = _c_encoded(obj, inner)[1:-1]
-        parts += ("[" + inner, encoded[key], nl + "]")
+        parts += ("[" + inner, _c_encoded(obj, inner)[1:-1], nl + "]")
         return
     if kinds == {dict} or kinds <= {list, tuple}:
         row_items = map(dict.values, obj) if kinds == {dict} else obj
@@ -323,33 +328,24 @@ def _estimate_csv(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -
     return _csv(header, columns | {"se_product_limit": np.sqrt(pl_var), "se_rhr_mle": np.sqrt(rhr_var)})
 
 
-def _step_json(f: StepCdf, listed) -> dict:
+def _step_json(f: StepCdf) -> dict:
     out = {
         "method": f.method,
         "lower_value": f.lower_value,
         "lower_variance": _json_safe(f.lower_variance),
-        "support": listed(f.support),
-        "values": listed(f.values),
+        "support": f.support,
+        "values": f.values,
     }
     if f.variances is not None:
-        out["variances"] = listed(f.variances)
-        out["stderr"] = listed(np.sqrt(f.variances))
+        out["variances"] = f.variances
+        out["stderr"] = np.sqrt(f.variances)
     return out
 
 
 def _estimate_json(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -> list[bytes]:
-    # One list object per distinct array (same dtype, same bytes), which
-    # _json then encodes once: the fits share a support, and on tie-free
-    # data the product-limit and RHR-MLE values are equal.
-    lists: dict[tuple, list] = {}
-
-    def listed(column: np.ndarray) -> list:
-        key = column.dtype, column.tobytes()
-        if key not in lists:
-            lists[key] = _json_values(column)
-        return lists[key]
-
-    doc: dict = {"n": n, "estimates": [_step_json(f, listed) for f in fits.values()]}
+    # _json encodes each distinct array once: the fits share a support, and
+    # on tie-free data the product-limit and RHR-MLE values are equal.
+    doc: dict = {"n": n, "estimates": [_step_json(f) for f in fits.values()]}
     if points is not None:
         columns = {"t": points}
         for name, f in fits.items():
@@ -358,7 +354,7 @@ def _estimate_json(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) 
     return _json(doc)
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace) -> list[bytes]:
     dataset = ingest(args.input)
     table = tally(dataset)
     points = None
@@ -367,14 +363,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     names = METHODS if args.method == "all" else (args.method,)
     fits = {name: _FITS[name](table) for name in names}
     render = _estimate_json if args.format == "json" else _estimate_csv
-    _emit(render(fits, points, dataset.n), args.output)
-    return 0
+    return render(fits, points, dataset.n)
 
 
 # ---------------------------------------------------------------- compare
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> list[bytes]:
     dataset = ingest(args.input)
     table = tally(dataset)
     pl = product_limit_cdf(table)
@@ -389,15 +384,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.format == "json":
         means_doc = {policy: {"product_limit": a, "rhr_mle": b, "diff": a - b}
                      for policy, (a, b) in means.items()}
-        parts = _json({"n": dataset.n, "rows": _json_rows(columns), "means": means_doc})
-    else:
-        header = [f"# n: {dataset.n}"] + [
-            f"# mean[{policy}]: product_limit={_fmt(a)} rhr_mle={_fmt(b)} diff={_fmt(a - b)}"
-            for policy, (a, b) in means.items()
-        ]
-        parts = _csv(header, columns)
-    _emit(parts, args.output)
-    return 0
+        return _json({"n": dataset.n, "rows": _json_rows(columns), "means": means_doc})
+    header = [f"# n: {dataset.n}"] + [
+        f"# mean[{policy}]: product_limit={_fmt(a)} rhr_mle={_fmt(b)} diff={_fmt(a - b)}"
+        for policy, (a, b) in means.items()
+    ]
+    return _csv(header, columns)
 
 
 # ---------------------------------------------------------------- simulate
@@ -421,7 +413,7 @@ def _sim_config(args: argparse.Namespace, **params: float) -> SimConfig:
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> list[bytes]:
     if args.mu is None or args.sigma is None:
         raise InvalidParameterError("simulate requires --mu and --sigma")
     cfg = _sim_config(args, mu=args.mu, sigma=args.sigma, mu_c=args.mu_c, sigma_c=args.sigma_c)
@@ -436,8 +428,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.full:
         doc["pairs"] = [list(pair) for pair in zip(
             result.indices.tolist(), result.ks_product_limit.tolist(), result.ks_rhr_mle.tolist())]
-    _emit(_json(doc), args.output)
-    return 0
+    return _json(doc)
 
 
 # ---------------------------------------------------------------- sweep
@@ -456,10 +447,13 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InvalidParameterError(f"--grid expects numeric START:STOP and integer COUNT, got {text!r}")
+    # np.linspace takes STOP - START first, so it too must be finite.
+    for what, value in (("START", start), ("STOP", stop), ("STOP - START", stop - start)):
+        _real(f"--grid {what}", value)
     return name, np.linspace(start, stop, _integer("--grid COUNT", count, 1, _MAX_GRID_POINT))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> list[bytes]:
     fixed: dict[str, float] = {}
     for item in args.fix or []:
         if "=" not in item:
@@ -487,8 +481,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = {"param": np.array([getattr(res.config, param) for res in results])}
     for name in ("mean_diff", "n_pairs", "n_degenerate"):
         columns[name] = np.array([getattr(res, name) for res in results])
-    _emit(_csv(header, columns), args.output)
-    return 0
+    return _csv(header, columns)
 
 
 # ---------------------------------------------------------------- wiring
@@ -558,10 +551,11 @@ _EXIT_CODES = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.output)
     except tuple(_EXIT_CODES) as exc:
         print(f"lodcdf: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,9 +16,6 @@ from typing import IO, Iterable
 
 import numpy as np
 
-__all__ = ["Dataset", "TallyTable", "IngestError", "AllCensoredError", "InvalidParameterError",
-           "StudyDegenerateError", "ingest", "tally"]
-
 
 class IngestError(ValueError):
     """Raised for unreadable input rows; carries a 1-based line number."""

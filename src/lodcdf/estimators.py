@@ -24,10 +24,6 @@ import numpy as np
 
 from .data import TallyTable, _frozen
 
-__all__ = ["StepCdf", "product_limit_cdf", "rhr_mle_cdf", "crhf_exp_cdf", "greenwood_variance",
-           "rhr_variance", "eval_cdf", "eval_cdf_at", "mean_from_cdf", "quantile_from_cdf",
-           "LeftoverPolicy"]
-
 LeftoverPolicy = Literal["at-first-exact", "at-zero"]
 
 

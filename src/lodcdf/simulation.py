@@ -35,11 +35,8 @@ estimators' suffix products. The factors 1 - d/y and 1 - d/(y - q) it
 writes itself, as ``product_limit_cdf`` and ``rhr_mle_cdf`` do. Its
 results are bit-identical to fitting each replication on its own, and
 identical across runs. Every study number is checked once, on entry, by
-``_integer`` or ``_real``. Public names:
-``SimConfig``, ``StudyResult``, ``run_study``, ``sweep``, ``substream``,
-the two errors (defined in ``data`` with the other error classes, because
-``estimate`` raises ``InvalidParameterError`` too). scipy is imported only
-inside ``_lognormal`` and ``_ks_rows``, so importing this module loads none.
+``_integer`` or ``_real``. scipy is imported only inside ``_lognormal`` and
+``_ks_rows``, so importing this module loads none.
 """
 
 from __future__ import annotations
@@ -96,6 +93,7 @@ def _integer(name: str, value, lo: int, hi: float) -> int:
 def _real(name: str, value, positive: bool = False) -> float:
     """``value`` as a finite float, above 0 when ``positive``, else InvalidParameterError
     naming ``name``. Refuses bools, non-numbers and ints beyond the float range."""
+    value = value.item() if isinstance(value, np.generic) else value  # named without numpy's repr
     try:
         real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     except OverflowError:  # an int or fraction beyond the float range

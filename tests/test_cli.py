@@ -133,15 +133,21 @@ def _not_json(name):
     raise AssertionError(f"{name} is not JSON")
 
 
+def _listed(column: np.ndarray) -> list:
+    """An array as the JSON list it stands for: NaN and +-inf as null."""
+    return [v if isinstance(v, int) or math.isfinite(v) else None for v in column.tolist()]
+
+
 def _json_docs(monkeypatch, argv) -> list:
     """The documents ``main(argv)`` hands to ``cli._json``, each checked to
-    render as ``json.dumps(doc, indent=2)`` plus a newline, byte for byte."""
+    render as ``json.dumps(doc, indent=2)`` plus a newline, byte for byte,
+    a numpy array being dumped as ``_listed`` makes it."""
     docs, render = [], cli._json
 
     def checked(doc):
         docs.append(doc)
         rendered = b"".join(render(doc))
-        assert rendered == (json.dumps(doc, indent=2) + "\n").encode()
+        assert rendered == (json.dumps(doc, indent=2, default=_listed) + "\n").encode()
         json.loads(rendered, parse_constant=_not_json)  # NaN and inf are null
         return [rendered]
 
@@ -729,6 +735,11 @@ def test_sweep_rejects_bad_specs(capsys):
         code, _, err = run(capsys, *argv, "--m", "2", "--n", "4")
         assert code == 5, argv
         assert err
+    # non-finite START or STOP, and a STOP - START beyond the float range
+    for spec in ("mu=-1e308:1e308:3", "mu=1e400:2:3", "mu=0:1e400:1", "mu=nan:1:3"):
+        code, _, err = run(capsys, "sweep", "--grid", spec, "--m", "2", "--n", "4")
+        assert code == 5, spec
+        assert "--grid" in err, spec
 
 
 # ------------------------------------------------------------- exit codes

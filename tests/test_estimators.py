@@ -59,6 +59,7 @@ def close(x: float, fr: Fraction, rel=1e-12) -> bool:
 def test_six_obs_product_limit_values():
     _, pl, _, _ = fits(SIX)
     assert pl.support.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert pl.jump_count == 4
     expected = [Fraction(4, 9), Fraction(2, 3), Fraction(5, 6), Fraction(1)]
     assert all(close(v, e) for v, e in zip(pl.values, expected))
     assert close(pl.lower_value, Fraction(2, 9))

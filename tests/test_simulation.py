@@ -220,10 +220,17 @@ def test_config_validation():
         dict(mu="1.5", sigma=1.0),
         dict(mu=True, sigma=1.0),
         dict(mu=0.0, sigma=1.0, lods=("a",)),
+        dict(mu=10**400, sigma=1.0),  # an int beyond the float range
     ]
     for kwargs in bad:
         with pytest.raises(InvalidParameterError):
             SimConfig(**kwargs)
+    # numpy scalars are named by their value, not by numpy's repr
+    for kwargs, shown in ((dict(mu=np.float64("nan"), sigma=1.0), "got nan"),
+                          (dict(mu=0.0, sigma=np.float32(-1)), "got -1.0")):
+        with pytest.raises(InvalidParameterError, match=shown) as info:
+            SimConfig(**kwargs)
+        assert "np." not in str(info.value)
 
 
 def test_config_limits_the_study_sizes():
