@@ -32,7 +32,8 @@ class StepCdf:
     """Right-continuous step CDF estimate.
 
     ``values[k]`` is the estimate at and after ``support[k]``; ``lower_value``
-    is the estimate everywhere below ``support[0]``. The last value is 1 by
+    is the estimate on [0, ``support[0]``). Below 0 the estimate is 0, since
+    no observed value is negative. The last value is 1 by
     construction (empty product). Variances are attached per jump by the
     variance operations and stay None until then, as does ``lower_variance``,
     the variance below the first jump, NaN where the underlying sum
@@ -176,19 +177,19 @@ def rhr_variance(table: TallyTable, f: StepCdf) -> StepCdf:
 def eval_cdf_at(f: StepCdf, points) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate a StepCdf at each of ``points`` (right-continuous).
 
-    Returns (estimates, variances), with ``lower_value`` and
-    ``lower_variance`` below the first jump; variances is None when the
-    StepCdf carries none. Raises ValueError at a NaN point.
+    Returns (estimates, variances): 0 and 0 below 0 (-0.0 included), where
+    no observation lies; ``lower_value`` and ``lower_variance`` on [0, first
+    jump); variances is None when the StepCdf carries none. Raises
+    ValueError at a NaN point.
     """
     points = np.asarray(points, dtype=np.float64)
     if np.isnan(points).any():
         raise ValueError(f"cannot evaluate a CDF at nan (point {np.isnan(points).argmax()})")
-    idx = np.searchsorted(f.support, points, side="right") - 1
-    below = idx < 0
-    estimates = np.where(below, f.lower_value, f.values[idx])
+    idx = np.where(points < 0, 0, np.searchsorted(f.support, points, side="right") + 1)
+    estimates = np.r_[0.0, f.lower_value, f.values][idx]
     if f.variances is None:
         return estimates, None
-    return estimates, np.where(below, f.lower_variance, f.variances[idx])
+    return estimates, np.r_[0.0, f.lower_variance, f.variances][idx]
 
 
 def eval_cdf(f: StepCdf, t: float) -> tuple[float, float | None]:

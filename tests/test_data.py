@@ -17,6 +17,7 @@ from lodcdf import (
     ingest,
     tally,
 )
+from lodcdf.simulation import _PHILOX_M0, _PHILOX_M1
 
 from conftest import FIXTURES
 
@@ -166,7 +167,7 @@ _PADS = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028", "\u3
 _ODD_ROWS = st.builds(
     "{}{}{}".format,
     st.one_of(_VALUES, st.sampled_from(["nan", "-inf", "1e400", "-1", "-1e-400", " 2 ", "\u0661",
-                                        "abc", "", '"1.5"', "value"])),
+                                        "abc", "", '"1.5"', "value", "1.2.3", "..5", "."])),
     st.one_of(st.just(","), st.sampled_from([", ", ";", ",,", " ,"])),
     st.one_of(st.sampled_from("01"), st.sampled_from(["1 ", " 1", "1.0", "2", "", "01", '"1"'])))
 _ANY_LINES = st.one_of(
@@ -243,6 +244,79 @@ def test_misaligned_rows_in_a_later_block_name_their_line(bad, message):
     with mock.patch.object(data, "_BLOCK_CHARS", 4):
         with pytest.raises(IngestError, match=f"^line 4: {message}"):
             ingest(io.StringIO(text))
+
+
+# ------------------------------------------------ exact decimal reader
+
+def _mantissas(digits):
+    """Digit strings with a point anywhere in them, or none."""
+    return st.builds(lambda d, at, point: d[:at] + "." + d[at:] if point else d,
+                     digits, st.integers(0, 30), st.booleans())
+
+
+def _halfway(m: int, k: int) -> str:
+    """(2m + 1) / 2**k written with k fraction digits: for m in [2**52, 2**53)
+    it lies halfway between two neighbouring doubles."""
+    s = str((2 * m + 1) * 5**k).rjust(k + 1, "0")
+    return s[:-k] + "." + s[-k:] if k else s
+
+
+_READER_CELLS = st.one_of(
+    # 16-19 digit mantissas: w >= 2**53, read through _decimal
+    _mantissas(st.integers(10**15, 10**19 - 1).map(str)),
+    # just below a power of two, where float(w) rounds up to it
+    _mantissas(st.builds(lambda e, d: str(2**e - d), st.integers(54, 64), st.integers(1, 1024))),
+    # 0-16 fraction digits after a short integer part
+    st.builds("{}.{}".format, st.integers(0, 10**6), st.text("0123456789", max_size=16)),
+    # exact halfway cases, which round to even
+    st.builds(_halfway, st.integers(2**52, 2**53 - 1), st.integers(0, 4)),
+    st.sampled_from(["9007199254740993", "9007199254740993.0", "9007199254740992.5",
+                     "18446744073709551615", "18440000000000000000", "0.000000000000000000000001",
+                     "000000000000000000000000", ".5", "5.", "0"]),
+    # more than 24 digits: too long for the reader's three words
+    st.sampled_from(["1000000000000000000000000", "100000000.0000000000000000", "0" * 30 + "7"]),
+    # values the reader leaves to float()
+    st.sampled_from(["+1", "-0.0", "-0", "1e-5", "4.9e-324", "1_0", " 7 ", "2.5E3", "1.7976931348623157e308"]),
+    st.integers(10**19, 10**30).map(str),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_READER_CELLS, min_size=1, max_size=30), st.sampled_from([8, 40, 1 << 19]))
+def test_reader_equals_float_bit_for_bit(cells, block_chars):
+    text = "".join(f"{c},1\n" for c in cells)
+    with mock.patch.object(data, "_BLOCK_CHARS", block_chars), \
+            mock.patch.object(data, "_scan", side_effect=AssertionError("per-line scan")):
+        got = ingest(io.StringIO(text)).values()
+    assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+@pytest.mark.parametrize("cell", ["{!r}".format, "{:.1f}".format])
+def test_reader_reads_benchmark_sized_files_exactly(cell):
+    """200k log-normal rows written as the fit benchmark writes them:
+    full-precision reprs, and the same values rounded to 0.1."""
+    rng = np.random.default_rng(5)
+    cells = [cell(v) for v in np.exp(rng.standard_normal(200_000)).tolist()]
+    text = "value,detected\n" + "".join(f"{c},1\n" for c in cells)
+    with mock.patch.object(data, "_scan", side_effect=AssertionError("per-line scan")):
+        got = ingest(io.StringIO(text)).values()
+    assert got.tobytes() == np.fromiter(map(float, cells), np.float64, len(cells)).tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2**64 - 1, _PHILOX_M0, _PHILOX_M1])
+def test_mulhilo_matches_python_ints(m):
+    """High and low words of a * m equal Python's (a*m) >> 64 and
+    (a*m) mod 2**64, for an int m (the Philox rounds) and a word array m
+    (the decimal reader)."""
+    rng = np.random.default_rng(m % 997)
+    edge = np.array([0, 1, 2**64 - 1, _PHILOX_M0, _PHILOX_M1], np.uint64)
+    a = np.concatenate([edge, rng.integers(0, 2**64 - 1, 500, np.uint64, endpoint=True)])
+    for factor in (m, np.full(a.size, m, np.uint64), rng.integers(0, 2**64 - 1, a.size, np.uint64,
+                                                                 endpoint=True)):
+        hi, lo = data._mulhilo(a, factor)
+        products = [x * y for x, y in zip(a.tolist(), np.broadcast_to(factor, a.shape).tolist())]
+        assert hi.tolist() == [p >> 64 for p in products]
+        assert lo.tolist() == [p & (1 << 64) - 1 for p in products]
 
 
 def test_ingest_fixture():

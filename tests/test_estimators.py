@@ -139,7 +139,8 @@ def test_eval_cdf_regions():
     assert eval_cdf(pl, 2.5)[0] == pl.values[1]
     assert eval_cdf(pl, 99.0) == (1.0, 0.0)
     assert eval_cdf(pl, float("inf")) == (1.0, 0.0)
-    assert eval_cdf(pl, -float("inf")) == (pl.lower_value, pl.lower_variance)
+    assert eval_cdf(pl, -0.0) == (pl.lower_value, pl.lower_variance)
+    assert eval_cdf(pl, -1.0) == eval_cdf(pl, -float("inf")) == (0.0, 0.0)
     bare = product_limit_cdf(table)
     assert eval_cdf(bare, 1.0) == (bare.values[0], None)
     with pytest.raises(ValueError, match="nan"):
