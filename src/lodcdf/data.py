@@ -8,10 +8,9 @@ tallies built here.
 
 ``ingest`` reads CSV text in blocks. A block of plain ``<number>,0|1`` rows
 is read as bytes by ``_fast``; any other block by ``_scan``, line by line.
-``_fast`` reads a digits[.digits] number of at most 24 digits in numpy and
-every other number with ``float()``, so each value is ``float()`` of its
-text, bit for bit. ``_mulhilo``, the 64 x 64 -> 128-bit word product that
-reader needs, also drives the Philox rounds in ``simulation``.
+``_fast`` reads a short digits[.digits] number in numpy and every other
+number with ``float()``, so each value is ``float()`` of its text, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -182,64 +181,16 @@ def _read(source: str | Path | IO[str]) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
-_LOW32 = 0xFFFFFFFF
-
-
-def _mulhilo(a: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * m, elementwise.
-
-    numpy has no 64x64 -> 128-bit multiply, so the high word is assembled
-    from the four products of 32-bit halves. ``m`` is an int or a uint64 array.
-    """
-    a0, a1 = a & _LOW32, a >> 32
-    m0, m1 = m & _LOW32, m >> 32
-    cross0, cross1 = a0 * m1, a1 * m0
-    carry = ((a0 * m0) >> 32) + (cross0 & _LOW32) + (cross1 & _LOW32)
-    return a1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32), a * m
-
-
-def _decimal(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """w / 10**k rounded to nearest, ties to even, for uint64 w >= 1 and 0 <= k <= 27.
-
-    Eisel-Lemire (Lemire 2021, "Number parsing at a gigabyte per second"):
-    the top bits of w times a 128-bit reciprocal of 5**k. For k <= 27 that
-    reciprocal, ceil(2**(z + 127) / 5**k) with 2**z the first power of two
-    >= 5**k, makes the product exact enough to round correctly.
-    """
-    used = np.flatnonzero(np.bincount(k, minlength=28)).tolist()
-    z = np.zeros(28, np.int64)
-    z[used] = [(5**j - 1).bit_length() for j in used]
-    powers = np.zeros((2, 28), np.uint64)
-    for j in used:
-        t = -((-1 << int(z[j]) + 127) // 5**j)
-        powers[:, j] = t >> 64, t & (1 << 64) - 1
-    # Shift the leading 1 of w to bit 63; float(w) may round up a bit length.
-    lz = 64 - np.minimum(np.frexp(w.astype(np.float64))[1], 64).astype(np.uint64)
-    lz += (w << lz) >> 63 ^ 1
-    w = w << lz
-    hi, lo = _mulhilo(w, powers[0, k])
-    # The low word of 5**-k matters only when the bits below the 55 kept are all ones.
-    fix = np.flatnonzero(hi & 0x1FF == 0x1FF)
-    top = _mulhilo(w[fix], powers[1, k[fix]])[0]
-    lo[fix] += top
-    hi[fix] += lo[fix] < top
-    upper = hi >> 63
-    mantissa = hi >> upper + 9
-    # An exact halfway case (possible only for k <= 4) rounds to even.
-    mantissa -= (lo <= 1) & (k <= 4) & (mantissa & 3 == 1) & (mantissa << upper + 9 == hi)
-    mantissa = (mantissa + (mantissa & 1)) >> 1
-    return np.ldexp(mantissa.astype(np.float64), (upper - lz).astype(np.int64) + 11 - z[k] - k)
-
-
 def _fast(block: str, no_rows: bool) -> tuple[np.ndarray, np.ndarray] | None:
     """The rows of a block whose every data line is ``<number>,0`` or
     ``<number>,1`` with a finite number >= 0; None leaves the block to _scan.
 
     The block's bytes are checked and decoded in numpy. A value of the form
-    digits[.digits] with at most 24 digits that fit 64 bits is read as w / 10**k
-    (k fraction digits): one division when w < 2**53 and k <= 22 (Clinger
-    1990, "How to read floating point numbers accurately"), else _decimal.
-    Any other value is read by float(), so every value equals float(text).
+    digits[.digits] with at most 19 digits whose integer w (point dropped) is
+    below 2**53 is read as w / 10**k, k being its fraction digits: both are
+    exact doubles, so one division rounds correctly (Clinger 1990, "How to
+    read floating point numbers accurately"). Any other value is read by
+    float() of its cell, so every value equals float(text).
     """
     if block and not block.endswith("\n"):
         block += "\n"
@@ -264,7 +215,7 @@ def _fast(block: str, no_rows: bool) -> tuple[np.ndarray, np.ndarray] | None:
     points = np.diff(lines) - 1  # dots in each line
     size = commas - starts - points  # digits, if the value is digits[.digits]
     frac = np.where(points > 0, commas - 1 - marks[lines[1:] - 1], 0)  # digits after the dot
-    plain = (points <= 1) & (size >= 1) & (size <= 24)
+    plain = (points <= 1) & (size >= 1) & (size <= 19)
     size[~plain] = 0
     # Read each value's digits, dots dropped, as 8-byte words ending at its comma.
     packed = b[b != 46]
@@ -280,20 +231,18 @@ def _fast(block: str, no_rows: bool) -> tuple[np.ndarray, np.ndarray] | None:
         v &= 0x0F0F0F0F0F0F0F0F  # eight digits, first in the low byte, to one number
         v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
         v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
-        w = w * 100_000_000 + ((v * 10_000 + (v >> 32)) & _LOW32)
-        if j == 2:  # top eight digits below 1844 keep w under 2**64
-            plain &= w < 1844
-    # w and 10**k are doubles here, so one division rounds correctly.
-    exact = (w < 1 << 53) & ((frac <= 22) | (w == 0))
-    tens = np.array([float(10**j) for j in range(23)])
-    values = w.astype(np.float64) / tens[np.minimum(frac, 22)]
-    rest = np.flatnonzero(plain & ~exact)
-    values[rest] = _decimal(w[rest], frac[rest])
-    try:  # a sign, an exponent, spaces, '_', more digits
-        for i in np.flatnonzero(~plain).tolist():
-            values[i] = float(raw[starts[i]:commas[i]].decode("utf-8", "surrogatepass"))
-    except ValueError:
-        return None
+        w = w * 100_000_000 + ((v * 10_000 + (v >> 32)) & 0xFFFFFFFF)
+    tens = np.array([float(10**j) for j in range(20)])
+    values = w.astype(np.float64) / tens[np.minimum(frac, 19)]
+    rest = np.flatnonzero(~plain | (w >= 1 << 53))
+    if rest.size:  # a sign, an exponent, spaces, '_', more digits, w >= 2**53
+        cells = block.replace("\n", ",").split(",")[0:-1:2]
+        if rest.size < ends.size:
+            cells = map(cells.__getitem__, rest.tolist())
+        try:
+            values[rest] = np.fromiter(map(float, cells), np.float64, rest.size)
+        except ValueError:
+            return None
     if not np.isfinite(values).all() or (values < 0).any():
         return None
     return values, b[ends - 1] == 49

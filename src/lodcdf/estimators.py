@@ -177,19 +177,20 @@ def rhr_variance(table: TallyTable, f: StepCdf) -> StepCdf:
 def eval_cdf_at(f: StepCdf, points) -> tuple[np.ndarray, np.ndarray | None]:
     """Evaluate a StepCdf at each of ``points`` (right-continuous).
 
-    Returns (estimates, variances): 0 and 0 below 0 (-0.0 included), where
-    no observation lies; ``lower_value`` and ``lower_variance`` on [0, first
-    jump); variances is None when the StepCdf carries none. Raises
-    ValueError at a NaN point.
+    Returns (estimates, variances): 0 and 0 at points below 0, where no
+    observation lies; ``lower_value`` and ``lower_variance`` on [0, first
+    jump), -0.0 included; variances is None when the StepCdf carries none.
+    Raises ValueError at a NaN point.
     """
     points = np.asarray(points, dtype=np.float64)
     if np.isnan(points).any():
         raise ValueError(f"cannot evaluate a CDF at nan (point {np.isnan(points).argmax()})")
-    idx = np.where(points < 0, 0, np.searchsorted(f.support, points, side="right") + 1)
-    estimates = np.r_[0.0, f.lower_value, f.values][idx]
+    idx = np.searchsorted(f.support, points, side="right") - 1
+    below, negative = idx < 0, points < 0
+    estimates = np.where(negative, 0.0, np.where(below, f.lower_value, f.values[idx]))
     if f.variances is None:
         return estimates, None
-    return estimates, np.r_[0.0, f.lower_variance, f.variances][idx]
+    return estimates, np.where(negative, 0.0, np.where(below, f.lower_variance, f.variances[idx]))
 
 
 def eval_cdf(f: StepCdf, t: float) -> tuple[float, float | None]:

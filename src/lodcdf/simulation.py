@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _LOW32, InvalidParameterError, StudyDegenerateError, _frozen, _mulhilo, _runs
+from .data import InvalidParameterError, StudyDegenerateError, _frozen, _runs
 from .estimators import _tail_products
 
 # Purpose slots inside a replication's key space.
@@ -72,6 +72,7 @@ _PHILOX_M0 = 0xD2E7470EE14C6C93
 _PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_BUMP0 = 0x9E3779B97F4A7C15
 _PHILOX_BUMP1 = 0xBB67AE8584CAA73B
+_LOW32 = 0xFFFFFFFF
 
 
 def _integer(name: str, value, lo: int, hi: float) -> int:
@@ -213,6 +214,19 @@ class StudyResult:
         if self.n_pairs < 2:
             return float("nan")
         return float(np.std(self.diffs, ddof=1) / math.sqrt(self.n_pairs))
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * m, elementwise.
+
+    numpy has no 64x64 -> 128-bit multiply, so the high word is assembled
+    from the four products of 32-bit halves.
+    """
+    a0, a1 = a & _LOW32, a >> 32
+    m0, m1 = m & _LOW32, m >> 32
+    cross0, cross1 = a0 * m1, a1 * m0
+    carry = ((a0 * m0) >> 32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return a1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32), a * m
 
 
 def _philox_words(seed: int, grid_point: int, reps: range, purposes: tuple[int, ...],

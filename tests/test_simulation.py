@@ -18,7 +18,14 @@ from lodcdf import (
     sweep,
     tally,
 )
-from lodcdf.simulation import CENSORING_DRAWS, LIFETIME_DRAWS, _lognormal
+from lodcdf.simulation import (
+    _PHILOX_M0,
+    _PHILOX_M1,
+    CENSORING_DRAWS,
+    LIFETIME_DRAWS,
+    _lognormal,
+    _mulhilo,
+)
 
 from _oracles import (
     _replicate,
@@ -363,3 +370,15 @@ def test_estimators_coincide_without_ties():
                 assert pair[0] == pair[1]
         res = run_study(cfg)
         assert res.mean_diff == 0.0
+
+
+@pytest.mark.parametrize("m", [0, 1, 2**64 - 1, _PHILOX_M0, _PHILOX_M1])
+def test_mulhilo_matches_python_ints(m):
+    """The high and low words of a * m equal Python's (a*m) >> 64 and
+    (a*m) mod 2**64, on edge words and random ones."""
+    edge = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1, _PHILOX_M0, _PHILOX_M1], np.uint64)
+    a = np.concatenate([edge, np.random.default_rng(7).integers(0, 2**64 - 1, 1000, np.uint64,
+                                                                endpoint=True)])
+    hi, lo = _mulhilo(a, m)
+    assert hi.tolist() == [x * m >> 64 for x in a.tolist()]
+    assert lo.tolist() == [x * m & (1 << 64) - 1 for x in a.tolist()]
