@@ -156,9 +156,11 @@ class TallyTable:
 
 _HEADER = ("value", "detected")
 # Text is parsed in blocks of whole lines about this many characters long
-# (65,536 short rows), so the per-row strings of a large file never all exist
-# at once. Lines end at "\n" only, as when iterating a text-mode file.
-_BLOCK_CHARS = 1 << 19
+# (16,384 short rows), so the per-row strings of a large file never all exist
+# at once, and a block's numpy temporaries (about 16 bytes a character) are
+# reused from the heap, not page-faulted in afresh for every block. Lines end
+# at "\n" only, as when iterating a text-mode file.
+_BLOCK_CHARS = 1 << 17
 
 
 def _read(source: str | Path | IO[str]) -> str:
@@ -289,12 +291,18 @@ def ingest(source: str | Path | IO[str]) -> Dataset:
     text = _read(source)
     values: list[np.ndarray] = []
     detected: list[np.ndarray] = []
-    start, no_rows = 0, True
+    start, no_rows, line, counted = 0, True, 1, 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
         block = text[start:end]
-        # Only a block left to _scan needs its first line's number.
-        v, d = _fast(block, no_rows) or _scan(block.split("\n"), text.count("\n", 0, start) + 1, no_rows)
+        rows = _fast(block, no_rows)
+        if rows is None:
+            # Only a block left to _scan needs its first line's number,
+            # counted on from the last block that needed one.
+            line += text.count("\n", counted, start)
+            counted = start
+            rows = _scan(block.split("\n"), line, no_rows)
+        v, d = rows
         values.append(v)
         detected.append(d)
         no_rows = no_rows and not v.size
