@@ -8,9 +8,12 @@ tallies built here.
 
 ``ingest`` reads CSV text in blocks. A block of plain ``<number>,0|1`` rows
 is read as bytes by ``_fast``; any other block by ``_scan``, line by line.
-``_fast`` reads a short digits[.digits] number in numpy and every other
-number with ``float()``, so each value is ``float()`` of its text, bit for
-bit.
+``_fast`` drops blank and ``#`` lines by a mask over the line starts and
+reads a digits[.digits] number of at most 19 digits in numpy, exactly: by
+one division when its integer is below 2**53 (Clinger 1990), else by a
+128-bit product (``_decimal``, Lemire 2021). A sign, an exponent, spaces,
+``_``, more digits or an exact tie go through ``float()``, so each value is
+``float()`` of its text, bit for bit.
 """
 
 from __future__ import annotations
@@ -183,46 +186,125 @@ def _read(source: str | Path | IO[str]) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
+_LOW32 = 0xFFFFFFFF
+
+
+def _mulhilo(a: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * m, elementwise,
+    for a uint64 array ``a`` and an int or uint64 array ``m``.
+
+    numpy has no 64x64 -> 128-bit multiply, so the high word is assembled
+    from the four products of 32-bit halves.
+    """
+    a0, a1 = a & _LOW32, a >> 32
+    m0, m1 = m & _LOW32, m >> 32
+    cross0, cross1 = a0 * m1, a1 * m0
+    carry = ((a0 * m0) >> 32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return a1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (carry >> 32), a * m
+
+
+# 10**k and 5**-k for the k <= 19 fraction digits a plain value can have.
+# 5**-k is held as the 128-bit ceil(2**(z + 127) / 5**k), 2**z being the
+# least power of two >= 5**k, and 11 - z - k is the binary exponent that
+# scales a product by it back to w / 10**k.
+_TENS = np.array([float(10**k) for k in range(20)])
+_FIVES = [-(-(1 << (5**k - 1).bit_length() + 127) // 5**k) for k in range(20)]
+_FIVES_HI = np.array([t >> 64 for t in _FIVES], np.uint64)
+_FIVES_LO = np.array([t & (1 << 64) - 1 for t in _FIVES], np.uint64)
+_FIVES_EXP = np.array([11 - (5**k - 1).bit_length() - k for k in range(20)])
+
+
+def _decimal(w: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w / 10**k rounded to nearest for uint64 w >= 2**53 and 0 <= k <= 19,
+    and the lanes it leaves undecided: exact ties, to be read by float().
+
+    Eisel-Lemire (Lemire 2021, "Number parsing at a gigabyte per second"):
+    w, shifted to fill 64 bits, times the table's 128-bit 5**-k. Its high
+    word holds the 53 bits of the double and a rounding bit, and the low
+    table word is added only where the bits below those could carry.
+    """
+    # Shift the leading 1 of w to bit 63; float(w) may round up a bit length.
+    lz = 64 - np.minimum(np.frexp(w.astype(np.float64))[1], 64).astype(np.uint64)
+    lz += (w << lz) >> 63 ^ 1
+    w = w << lz
+    hi, lo = _mulhilo(w, _FIVES_HI[k])
+    near = np.flatnonzero(hi & 0x1FF == 0x1FF)  # the 9 bits below the 55 kept are all ones
+    top = _mulhilo(w[near], _FIVES_LO[k[near]])[0]
+    lo[near] += top
+    hi[near] += lo[near] < top
+    upper = hi >> 63
+    mantissa = hi >> upper + 9
+    # Halfway between two doubles: the rounding bit set and every bit below
+    # it clear, which w < 2**64 allows only for k <= 4.
+    tie = (k <= 4) & (lo <= 1) & (mantissa & 1 == 1) & (mantissa << upper + 9 == hi)
+    values = np.ldexp(((mantissa + 1) >> 1).astype(np.float64),
+                      (upper - lz).view(np.int64) + _FIVES_EXP[k])
+    return values, tie
+
+
+def _float_cells(raw: bytes, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """float() of each cell raw[start:stop]; ValueError if one is no number.
+
+    When the cells are those of every line after raw's first, one split of
+    raw (a comma a line) reads them faster than a slice each.
+    """
+    if starts.size == raw.count(b"\n") - 1:
+        cells = raw.replace(b"\n", b",").split(b",")[1:-1:2]
+    else:
+        cells = [raw[i:j] for i, j in zip(starts.tolist(), stops.tolist())]
+    return np.fromiter(map(float, cells), np.float64, starts.size)
+
+
 def _fast(block: str, no_rows: bool) -> tuple[np.ndarray, np.ndarray] | None:
     """The rows of a block whose every data line is ``<number>,0`` or
     ``<number>,1`` with a finite number >= 0; None leaves the block to _scan.
 
-    The block's bytes are checked and decoded in numpy. A value of the form
-    digits[.digits] with at most 19 digits whose integer w (point dropped) is
-    below 2**53 is read as w / 10**k, k being its fraction digits: both are
-    exact doubles, so one division rounds correctly (Clinger 1990, "How to
-    read floating point numbers accurately"). Any other value is read by
-    float() of its cell, so every value equals float(text).
+    The block's bytes are checked and decoded in numpy. Blank and ``#``
+    lines, and a header before the first row, are dropped by a mask over
+    the line starts. A value of the form digits[.digits] with at most 19
+    digits is read exactly from its integer w (point dropped) and its k
+    fraction digits. When w < 2**53, w and 10**k are both exact doubles, so
+    one division w / 10**k rounds correctly (Clinger 1990, "How to read
+    floating point numbers accurately"); a larger w goes to _decimal. A
+    value with a sign, an exponent, spaces or '_', more than 19 digits, or
+    an exact tie is read by float() of its bytes, so every value equals
+    float(text).
     """
     if block and not block.endswith("\n"):
         block += "\n"
-    header = ",".join(_HEADER) + "\n"
-    if no_rows and block[:len(header)].lower() == header:
-        block = block[len(header):]
     # 24 digits of padding let every digit word be read below a line's comma.
     # UTF-8 puts no ASCII byte inside a multi-byte character.
     raw = ("0" * 24 + "\n" + block).encode("utf-8", "surrogatepass")
     b = np.frombuffer(raw, np.uint8)
     marks = np.flatnonzero((b == 10) | (b == 46))  # newlines and dots
     lines = np.flatnonzero(b[marks] == 10)
-    starts, ends = marks[lines[:-1]] + 1, marks[lines[1:]]
-    if (starts == ends).any() or (b[starts] == 35).any():
-        return _fast("\n".join(line for line in block.split("\n") if line and line[0] != "#"),
-                     no_rows)
+    tail = lines[1:]  # each line's newline among the marks
+    starts, ends = marks[lines[:-1]] + 1, marks[tail]
+    points = np.diff(lines) - 1  # dots in each line
+    dots = tail - np.arange(1, tail.size + 1)  # dots before each line's end
+    skip = (starts == ends) | (b[starts] == 35)  # blank and '#' lines
+    if no_rows and not skip.all():
+        first = int(skip.argmin())
+        skip[first] = raw[starts[first]:ends[first]].lower() == ",".join(_HEADER).encode()
+    stray = 0  # commas on skipped lines
+    if skip.any():
+        at = np.flatnonzero(b == 44)
+        stray = int((at.searchsorted(ends[skip]) - at.searchsorted(starts[skip])).sum())
+        keep = ~skip
+        tail, starts, ends, points, dots = tail[keep], starts[keep], ends[keep], points[keep], dots[keep]
     commas = ends - 2
     # Every line ends in ",0" or ",1" and has no other comma.
     if ((b[ends - 1] | 1) != 49).any() or (b[commas] != 44).any() \
-            or np.count_nonzero(b == 44) != ends.size:
+            or np.count_nonzero(b == 44) != ends.size + stray:
         return None
-    points = np.diff(lines) - 1  # dots in each line
     size = commas - starts - points  # digits, if the value is digits[.digits]
-    frac = np.where(points > 0, commas - 1 - marks[lines[1:] - 1], 0)  # digits after the dot
+    frac = np.where(points > 0, commas - 1 - marks[tail - 1], 0)  # digits after the dot
     plain = (points <= 1) & (size >= 1) & (size <= 19)
     size[~plain] = 0
     # Read each value's digits, dots dropped, as 8-byte words ending at its comma.
     packed = b[b != 46]
     words = np.ndarray((packed.size - 7,), "<u8", packed, 0, (1,))
-    last = commas - lines[1:] + np.arange(1, ends.size + 1)  # the comma in packed
+    last = commas - dots  # the comma in packed
     top = np.array([(1 << 64) - (1 << 64 - 8 * j) for j in range(9)], np.uint64)  # top j bytes
     w = np.zeros(ends.size, np.uint64)
     for j in reversed(range(-(-int(size.max(initial=0)) // 8))):
@@ -233,16 +315,16 @@ def _fast(block: str, no_rows: bool) -> tuple[np.ndarray, np.ndarray] | None:
         v &= 0x0F0F0F0F0F0F0F0F  # eight digits, first in the low byte, to one number
         v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
         v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
-        w = w * 100_000_000 + ((v * 10_000 + (v >> 32)) & 0xFFFFFFFF)
-    tens = np.array([float(10**j) for j in range(20)])
-    values = w.astype(np.float64) / tens[np.minimum(frac, 19)]
-    rest = np.flatnonzero(~plain | (w >= 1 << 53))
-    if rest.size:  # a sign, an exponent, spaces, '_', more digits, w >= 2**53
-        cells = block.replace("\n", ",").split(",")[0:-1:2]
-        if rest.size < ends.size:
-            cells = map(cells.__getitem__, rest.tolist())
+        w = w * 100_000_000 + ((v * 10_000 + (v >> 32)) & _LOW32)
+    values = w.astype(np.float64) / _TENS[np.minimum(frac, 19)]
+    long = np.flatnonzero(plain & (w >= 1 << 53))
+    if long.size:
+        values[long], tie = _decimal(w[long], frac[long])
+        plain[long[tie]] = False
+    rest = np.flatnonzero(~plain)
+    if rest.size:
         try:
-            values[rest] = np.fromiter(map(float, cells), np.float64, rest.size)
+            values[rest] = _float_cells(raw, starts[rest], commas[rest])
         except ValueError:
             return None
     if not np.isfinite(values).all() or (values < 0).any():

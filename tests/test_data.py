@@ -1,5 +1,6 @@
 import io
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -224,7 +225,8 @@ def test_fast_path_matches_per_line_scan(text, block_chars):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_csv_texts(_CLEAN_LINES, ends=("\n",), heads=("", "\ufeff", "Value,Detected\n")),
+@given(_csv_texts(_CLEAN_LINES, ends=("\n",), heads=("", "\ufeff", "Value,Detected\n",
+                                                    "# a, b.\n\nvalue,detected\n")),
        st.sampled_from([8, 40, 1 << 19]))
 def test_plain_rows_take_the_fast_path(text, block_chars):
     with mock.patch.object(data, "_BLOCK_CHARS", block_chars), \
@@ -253,11 +255,28 @@ def _mantissas(digits):
                      digits, st.integers(0, 30), st.booleans())
 
 
+def _point(w: int, k: int) -> str:
+    """w / 10**k written with k fraction digits."""
+    s = str(w).rjust(k + 1, "0")
+    return s[:-k] + "." + s[-k:] if k else s
+
+
 def _halfway(m: int, k: int) -> str:
     """(2m + 1) / 2**k written with k fraction digits: for m in [2**52, 2**53)
     it lies halfway between two neighbouring doubles."""
-    s = str((2 * m + 1) * 5**k).rjust(k + 1, "0")
-    return s[:-k] + "." + s[-k:] if k else s
+    return _point((2 * m + 1) * 5**k, k)
+
+
+@st.composite
+def _ties(draw, nudge=st.sampled_from([-1, 0, 1])):
+    """(w, k, nudge): w = (2m + 1) * 2**j * 5**k + nudge in [2**53, 2**64)
+    for k <= 4, m in [2**52, 2**53) and j >= 0. Unnudged, w / 10**k =
+    (2m + 1) * 2**(j - k) lies halfway between two neighbouring doubles."""
+    k = draw(st.integers(0, 4))
+    odd = (2 * draw(st.integers(2**52, 2**53 - 1)) + 1) * 5**k
+    w = odd << draw(st.integers(0, 64 - odd.bit_length()))
+    step = draw(nudge)
+    return w + step, k, step
 
 
 _READER_CELLS = st.one_of(
@@ -268,9 +287,15 @@ _READER_CELLS = st.one_of(
     st.builds("{}.{}".format, st.integers(0, 10**6), st.text("0123456789", max_size=16)),
     # exact halfway cases, which round to even
     st.builds(_halfway, st.integers(2**52, 2**53 - 1), st.integers(0, 4)),
+    # exact ties and their last-digit neighbours with w in [2**53, 2**64), k <= 4
+    _ties().map(lambda t: _point(*t[:2])),
+    # 19 fraction digits
+    st.integers(0, 10**19 - 1).map(lambda w: _point(w, 19)),
     st.sampled_from(["9007199254740993", "9007199254740993.0", "9007199254740992.5",
                      "9007199254740991", "900719925474099.1", "0.0000000000000000001",
-                     "0000000000000000000", ".5", "5.", "0"]),
+                     "0000000000000000000", ".5", "5.", "0", "0.1234567890123456789",
+                     "0.9999999999999999999", "9007199254740992", "9223372036854775808",
+                     "1844674407370955161.5", "184467440737.0955161"]),
     # more than 19 digits: too long for the reader's three words
     st.sampled_from(["10000000000000000000", "100000000.00000000000", "0" * 30 + "7",
                      "18446744073709551615", "0.000000000000000000000001"]),
@@ -290,14 +315,28 @@ def test_reader_equals_float_bit_for_bit(cells, block_chars):
     assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ties(), min_size=1, max_size=20))
+def test_decimal_leaves_exactly_the_ties_to_float(lanes):
+    """_decimal rounds every lane but an exact tie correctly, and flags
+    exactly the ties."""
+    values, tie = data._decimal(np.array([w for w, _, _ in lanes], np.uint64),
+                                np.array([k for _, k, _ in lanes]))
+    assert tie.tolist() == [step == 0 for _, _, step in lanes]
+    expected = np.array([float(Fraction(w, 10**k)) for w, k, _ in lanes])
+    assert values[~tie].tobytes() == expected[~tie].tobytes()
+
+
 @pytest.mark.parametrize("cell", ["{!r}".format, "{:.1f}".format])
 def test_reader_reads_benchmark_sized_files_exactly(cell):
     """200k log-normal rows written as the fit benchmark writes them:
-    full-precision reprs, and the same values rounded to 0.1."""
+    full-precision reprs, and the same values rounded to 0.1. No cell is
+    read by float(): about a quarter of the reprs have w >= 2**53."""
     rng = np.random.default_rng(5)
     cells = [cell(v) for v in np.exp(rng.standard_normal(200_000)).tolist()]
     text = "value,detected\n" + "".join(f"{c},1\n" for c in cells)
-    with mock.patch.object(data, "_scan", side_effect=AssertionError("per-line scan")):
+    with mock.patch.object(data, "_scan", side_effect=AssertionError("per-line scan")), \
+            mock.patch.object(data, "_float_cells", side_effect=AssertionError("float() lane")):
         got = ingest(io.StringIO(text)).values()
     assert got.tobytes() == np.fromiter(map(float, cells), np.float64, len(cells)).tobytes()
 

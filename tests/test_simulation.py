@@ -375,10 +375,17 @@ def test_estimators_coincide_without_ties():
 @pytest.mark.parametrize("m", [0, 1, 2**64 - 1, _PHILOX_M0, _PHILOX_M1])
 def test_mulhilo_matches_python_ints(m):
     """The high and low words of a * m equal Python's (a*m) >> 64 and
-    (a*m) mod 2**64, on edge words and random ones."""
+    (a*m) mod 2**64, on edge words and random ones, for an int m and for
+    uint64 arrays of multipliers."""
     edge = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1, _PHILOX_M0, _PHILOX_M1], np.uint64)
     a = np.concatenate([edge, np.random.default_rng(7).integers(0, 2**64 - 1, 1000, np.uint64,
                                                                 endpoint=True)])
     hi, lo = _mulhilo(a, m)
     assert hi.tolist() == [x * m >> 64 for x in a.tolist()]
     assert lo.tolist() == [x * m & (1 << 64) - 1 for x in a.tolist()]
+    # An array multiplier: m in every lane, then a different word in each.
+    for ms in (np.full(a.size, m, np.uint64), a[::-1] ^ np.uint64(m)):
+        hi, lo = _mulhilo(a, ms)
+        pairs = list(zip(a.tolist(), ms.tolist()))
+        assert hi.tolist() == [x * y >> 64 for x, y in pairs]
+        assert lo.tolist() == [x * y & (1 << 64) - 1 for x, y in pairs]
