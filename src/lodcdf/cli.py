@@ -45,7 +45,7 @@ from .data import (
 from .estimators import (
     StepCdf,
     crhf_exp_cdf,
-    eval_cdf_at,
+    eval_cdf,
     greenwood_variance,
     mean_from_cdf,
     product_limit_cdf,
@@ -171,15 +171,15 @@ _SCALARS = {str, int, float, bool, type(None)}
 def _indented(obj, nl: str, parts: list[str], encoded: dict) -> None:
     """Append ``json.dumps(obj, indent=2)`` for a value whose lines start with ``nl``.
 
-    The indented encoder is pure Python. Lists of scalars, 1-D numpy
-    arrays, and lists of flat dicts or lists (row tables), therefore go
-    through the C encoder, whose item separator carries the line break and
-    indent. A raw line break never occurs inside an encoded string, so the
-    separators between the rows of a table can be found and re-indented
-    with one replace. Dict keys are strings, as in every document the
-    commands write. ``encoded`` keeps each array's text by dtype, bytes
-    and indent, the key ``_csv`` uses, so an array occurring more than
-    once is encoded once. Arrays are never empty.
+    The indented encoder is pure Python. 1-D numpy arrays and lists of
+    flat dicts or lists (row tables) therefore go through the C encoder,
+    whose item separator carries the line break and indent. A raw line
+    break never occurs inside an encoded string, so the separators between
+    the rows of a table can be found and re-indented with one replace.
+    Dict keys are strings, as in every document the commands write.
+    ``encoded`` keeps each array's text by dtype, bytes and indent, the key
+    ``_csv`` uses, so an array occurring more than once is encoded once.
+    Arrays are never empty.
     """
     inner = nl + "  "
     if isinstance(obj, dict) and obj:
@@ -199,9 +199,6 @@ def _indented(obj, nl: str, parts: list[str], encoded: dict) -> None:
         parts.append(json.dumps(obj))
         return
     kinds = set(map(type, obj))
-    if kinds <= _SCALARS:
-        parts += ("[" + inner, _c_encoded(obj, inner)[1:-1], nl + "]")
-        return
     if kinds == {dict} or kinds <= {list, tuple}:
         row_items = map(dict.values, obj) if kinds == {dict} else obj
         if all(obj) and set(map(type, chain.from_iterable(row_items))) <= _SCALARS:
@@ -311,7 +308,7 @@ def _estimate_csv(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) -
     first = next(iter(fits.values()))
     t = first.support if points is None else points
     # On the support a fit's own arrays are its columns; evaluating would copy them.
-    curves = [(f.values, f.variances) if points is None else eval_cdf_at(f, points) for f in fits.values()]
+    curves = [(f.values, f.variances) if points is None else eval_cdf(f, points) for f in fits.values()]
     if len(fits) == 1:
         ((estimate, variance),) = curves
         header = [f"# method: {first.method}", f"# n: {n}", f"# lower_value: {_fmt(first.lower_value)}"]
@@ -349,7 +346,7 @@ def _estimate_json(fits: dict[str, StepCdf], points: np.ndarray | None, n: int) 
     if points is not None:
         columns = {"t": points}
         for name, f in fits.items():
-            columns[name], columns[f"{name}_variance"] = eval_cdf_at(f, points)
+            columns[name], columns[f"{name}_variance"] = eval_cdf(f, points)
         doc["eval"] = _json_rows(columns)
     return _json(doc)
 

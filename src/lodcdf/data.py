@@ -19,7 +19,7 @@ one division when its integer is below 2**53 (Clinger 1990), else by a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -76,14 +76,11 @@ class Dataset:
                 raise ValueError(f"detection flag must be 0 or 1, got {detected[odd][0].item()!r}")
         if not values.size:
             raise ValueError("dataset needs at least one observation")
-        values = _frozen(values.astype(np.float64))
-        bad = ~(values >= 0) | np.isinf(values)  # NaN fails the comparison
-        if bad.any():
-            raise ValueError(f"observation value must be finite and >= 0, got {float(values[bad][0])!r}")
+        values = _observed(_frozen(values, np.float64))
         if not detected.any():
             raise AllCensoredError(_ALL_CENSORED)
         self._values = values
-        self._detected = _frozen(detected.astype(bool))
+        self._detected = _frozen(detected, bool)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, bool]]) -> "Dataset":
@@ -101,42 +98,50 @@ class Dataset:
         return self._detected
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``a``. Every column of ``Dataset``,
+    ``TallyTable``, ``StepCdf`` and ``StudyResult`` is made by it, so no
+    record shares memory with its caller or can be written through."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _observed(values: np.ndarray) -> np.ndarray:
+    """``values`` as given if each is finite and >= 0, else ValueError naming the first that is not."""
+    bad = ~(values >= 0) | np.isinf(values)  # NaN fails the comparison
+    if bad.any():
+        raise ValueError(f"observation value must be finite and >= 0, got {float(values[bad][0])!r}")
+    return values
 
 
 @dataclass(frozen=True)
 class TallyTable:
     """Per-distinct-value counts, ascending by value.
 
-    For each distinct observed value: how many observations were exact
-    (detected) there, how many censored there, and the running total of
-    observations at or below it.
+    For each distinct observed value (finite and >= 0, as in ``Dataset``):
+    how many observations were exact (detected) there and how many
+    censored there. ``at_or_below``, the running total of observations at
+    or below each value, is derived from those two, never passed in.
     """
 
     values: np.ndarray     # distinct observed values, strictly increasing
     exact: np.ndarray      # detected count at each value
     censored: np.ndarray   # censored count at each value
-    at_or_below: np.ndarray  # cumulative count <= value
+    at_or_below: np.ndarray = field(init=False)  # cumulative count <= value
 
     def __post_init__(self):
-        for name, dtype in (("values", np.float64), ("exact", np.int64), ("censored", np.int64),
-                            ("at_or_below", np.int64)):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
-        values, exact, censored, cum = self.values, self.exact, self.censored, self.at_or_below
-        if not (values.size == exact.size == censored.size == cum.size >= 1):
+        for name, dtype in (("values", np.float64), ("exact", np.int64), ("censored", np.int64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        values, exact, censored = self.values, self.exact, self.censored
+        if not (values.size == exact.size == censored.size >= 1):
             raise ValueError("tally arrays must share a positive length")
+        _observed(values)
         if values.size > 1 and not np.all(np.diff(values) > 0):
             raise ValueError("tally values must be strictly increasing")
         if np.any(exact < 0) or np.any(censored < 0) or np.any(exact + censored < 1):
             raise ValueError("each tally row needs nonnegative counts summing to >= 1")
-        if np.any(cum != np.cumsum(exact + censored)):
-            raise ValueError("at_or_below must be the cumulative row totals")
-
-    @property
-    def m(self) -> int:
-        return int(self.values.size)
+        object.__setattr__(self, "at_or_below", _frozen(np.cumsum(exact + censored), np.int64))
 
     @property
     def n(self) -> int:
@@ -425,5 +430,5 @@ def _runs(values: np.ndarray, detected: np.ndarray
 
 def tally(dataset: Dataset) -> TallyTable:
     """Group a dataset by distinct value into ascending count rows."""
-    ends, value, exact, total = _runs(dataset.values(), dataset.detected())
-    return TallyTable(value, exact, total - exact, ends + 1)
+    _, value, exact, total = _runs(dataset.values(), dataset.detected())
+    return TallyTable(value, exact, total - exact)

@@ -48,8 +48,8 @@ class StepCdf:
     lower_variance: float | None = None
 
     def __post_init__(self):
-        support = _frozen(np.array(self.support, dtype=np.float64))
-        values = _frozen(np.array(self.values, dtype=np.float64))
+        support = _frozen(self.support, np.float64)
+        values = _frozen(self.values, np.float64)
         if support.size == 0 or support.size != values.size:
             raise ValueError("support and values must share a positive length")
         if support.size > 1 and not np.all(np.diff(support) > 0):
@@ -64,7 +64,7 @@ class StepCdf:
         if (variances is None) != (self.lower_variance is None):
             raise ValueError("variances and lower_variance must be given together")
         if variances is not None:
-            variances = _frozen(np.array(variances, dtype=np.float64))
+            variances = _frozen(variances, np.float64)
             if variances.size != support.size:
                 raise ValueError("variances must align with the support")
             if np.any(variances[np.isfinite(variances)] < 0):
@@ -174,32 +174,25 @@ def rhr_variance(table: TallyTable, f: StepCdf) -> StepCdf:
     return replace(f, variances=variances, lower_variance=0.0)
 
 
-def eval_cdf_at(f: StepCdf, points) -> tuple[np.ndarray, np.ndarray | None]:
-    """Evaluate a StepCdf at each of ``points`` (right-continuous).
+def eval_cdf(f: StepCdf, t) -> tuple:
+    """Evaluate a StepCdf at t, a point or an array of points (right-continuous).
 
-    Returns (estimates, variances): 0 and 0 at points below 0, where no
-    observation lies; ``lower_value`` and ``lower_variance`` on [0, first
-    jump), -0.0 included; variances is None when the StepCdf carries none.
-    Raises ValueError at a NaN point.
+    Returns (estimate, variance): floats for a point, arrays for an array.
+    Both are 0 below 0, where no observation lies, and ``lower_value`` and
+    ``lower_variance`` on [0, first jump), -0.0 included. The variance is
+    None when the StepCdf carries none. Raises ValueError at a NaN point.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.asarray(t, dtype=np.float64)
     if np.isnan(points).any():
         raise ValueError(f"cannot evaluate a CDF at nan (point {np.isnan(points).argmax()})")
     idx = np.searchsorted(f.support, points, side="right") - 1
     below, negative = idx < 0, points < 0
     estimates = np.where(negative, 0.0, np.where(below, f.lower_value, f.values[idx]))
-    if f.variances is None:
-        return estimates, None
-    return estimates, np.where(negative, 0.0, np.where(below, f.lower_variance, f.variances[idx]))
-
-
-def eval_cdf(f: StepCdf, t: float) -> tuple[float, float | None]:
-    """Evaluate a StepCdf at t (right-continuous); returns (estimate, variance).
-
-    The variance half is None when the StepCdf carries no variances.
-    """
-    (estimate,), variances = eval_cdf_at(f, [t])
-    return float(estimate), None if variances is None else float(variances[0])
+    variances = (None if f.variances is None
+                 else np.where(negative, 0.0, np.where(below, f.lower_variance, f.variances[idx])))
+    if points.ndim:
+        return estimates, variances
+    return float(estimates), None if variances is None else float(variances)
 
 
 def mean_from_cdf(f: StepCdf, leftover_policy: LeftoverPolicy = "at-first-exact") -> float:

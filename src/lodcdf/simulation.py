@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -170,33 +170,36 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Per-replication KS distances for both estimators, plus the skip count.
+    """Per-replication KS distances for both estimators.
 
     ``indices[i]`` is the replication that produced the i-th pair, so
-    pairs stay keyed by replication regardless of execution order;
-    len(indices) + n_degenerate == m.
+    pairs stay keyed by replication regardless of execution order; the
+    indices are distinct replications in [0, m), ascending, and the other
+    m - len(indices) replications (``n_degenerate``) were fully censored.
     """
 
     config: SimConfig
     indices: np.ndarray
     ks_product_limit: np.ndarray
     ks_rhr_mle: np.ndarray
-    n_degenerate: int
-    grid_point: int = 0
+    grid_point: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         for name, dtype in (("indices", np.int64), ("ks_product_limit", np.float64),
                             ("ks_rhr_mle", np.float64)):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         if not self.indices.size == self.ks_product_limit.size == self.ks_rhr_mle.size:
             raise ValueError("pair arrays must share one length")
-        _integer("n_degenerate", self.n_degenerate, 0, self.config.m)
-        if self.indices.size + self.n_degenerate != self.config.m:
-            raise ValueError("pairs plus degenerate replications must count to m")
+        if not np.all(np.diff(self.indices, prepend=-1, append=self.config.m) > 0):
+            raise ValueError("indices must be distinct replications in [0, m), ascending")
 
     @property
     def n_pairs(self) -> int:
         return int(self.indices.size)
+
+    @property
+    def n_degenerate(self) -> int:
+        return self.config.m - self.n_pairs
 
     @property
     def diffs(self) -> np.ndarray:
@@ -342,8 +345,7 @@ def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyRes
         raise StudyDegenerateError(
             f"all {cfg.m} replications were fully censored; no estimator is defined"
         )
-    indices = np.flatnonzero(kept)
-    return StudyResult(cfg, indices, kpl[kept], krh[kept], cfg.m - indices.size, grid_point=grid_point)
+    return StudyResult(cfg, np.flatnonzero(kept), kpl[kept], krh[kept], grid_point=grid_point)
 
 
 def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResult]:

@@ -99,7 +99,7 @@ def test_criterion_2_hand_derived_fixture(announce):
 def _all_rows_product(table, use_rhr):
     denom = table.at_or_below - (table.censored if use_rhr else 0)
     mask = table.exact >= 1
-    factors = np.ones(table.m)
+    factors = np.ones(table.values.size)
     factors[mask] = 1.0 - table.exact[mask] / denom[mask]
     suffix = np.cumprod(factors[::-1])[::-1]
     return np.append(suffix[1:], 1.0)[mask], float(suffix[0])

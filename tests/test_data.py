@@ -354,17 +354,20 @@ def test_tally_hand_counts():
     assert t.exact.tolist() == [1, 1, 1, 1]
     assert t.censored.tolist() == [1, 0, 1, 0]
     assert t.at_or_below.tolist() == [2, 3, 5, 6]
-    assert t.m == 4 and t.n == 6
+    assert t.values.size == 4 and t.n == 6
 
 
 def test_tally_table_validation():
     bad = [
-        (([], [], [], []), "share a positive length"),
-        (([1.0, 2.0], [1], [0, 0], [1, 2]), "share a positive length"),
-        (([2.0, 1.0], [1, 1], [0, 0], [1, 2]), "strictly increasing"),
-        (([1.0], [-1], [2], [1]), "nonnegative counts"),
-        (([1.0], [0], [0], [0]), "nonnegative counts"),
-        (([1.0, 2.0], [1, 1], [0, 0], [1, 3]), "cumulative row totals"),
+        (([], [], []), "share a positive length"),
+        (([1.0, 2.0], [1], [0, 0]), "share a positive length"),
+        (([2.0, 1.0], [1, 1], [0, 0]), "strictly increasing"),
+        (([1.0], [-1], [2]), "nonnegative counts"),
+        (([1.0], [0], [0]), "nonnegative counts"),
+        # the value rule of Dataset: finite and >= 0
+        (([np.nan], [1], [0]), r"finite and >= 0, got nan"),
+        (([-1.0], [1], [0]), r"finite and >= 0, got -1.0"),
+        (([1.0, np.inf], [1, 1], [0, 0]), r"finite and >= 0, got inf"),
     ]
     for arrays, message in bad:
         with pytest.raises(ValueError, match=message):

@@ -145,6 +145,12 @@ def test_eval_cdf_regions():
     assert eval_cdf(bare, 1.0) == (bare.values[0], None)
     with pytest.raises(ValueError, match="nan"):
         eval_cdf(pl, float("nan"))
+    # an array of points gives arrays equal to the scalar calls, element by element
+    points = [-1.0, -0.0, 0.5, 1.0, 2.5, 99.0, float("inf")]
+    estimates, variances = eval_cdf(pl, np.array(points))
+    assert isinstance(estimates, np.ndarray) and isinstance(variances, np.ndarray)
+    assert [(e, v) for e, v in zip(estimates.tolist(), variances.tolist())] == [eval_cdf(pl, t) for t in points]
+    assert eval_cdf(bare, points)[1] is None
 
 
 # ------------------------------------------------------------ oracle match
@@ -260,7 +266,7 @@ def test_all_rows_form_equals_exact_rows_form(pairs):
         # the exponent: rows without exact observations contribute factor 1
         # (and for the rhr form their raw ratio can even be 0/0)
         mask = table.exact >= 1
-        factors = np.ones(table.m)
+        factors = np.ones(table.values.size)
         factors[mask] = 1.0 - table.exact[mask] / denom[mask]
         suffix = np.cumprod(factors[::-1])[::-1]
         levels = np.append(suffix[1:], 1.0)
@@ -421,12 +427,12 @@ def test_records_copy_their_inputs():
     """Building a record leaves the caller's arrays writable, and writing
     to them afterwards does not reach the record."""
     cases = [
-        (lambda a: TallyTable(*a), ("values", "exact", "censored", "at_or_below"),
-         [np.array([1.0, 2.0]), np.array([1, 1]), np.array([0, 1]), np.array([1, 3])]),
+        (lambda a: TallyTable(*a), ("values", "exact", "censored"),
+         [np.array([1.0, 2.0]), np.array([1, 1]), np.array([0, 1])]),
         (lambda a: StepCdf(a[0], a[1], 0.0, "x", variances=a[2], lower_variance=0.0),
          ("support", "values", "variances"),
          [np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([0.1, 0.0])]),
-        (lambda a: StudyResult(SimConfig(mu=0.0, sigma=1.0, m=2), *a, 0),
+        (lambda a: StudyResult(SimConfig(mu=0.0, sigma=1.0, m=2), *a),
          ("indices", "ks_product_limit", "ks_rhr_mle"),
          [np.array([0, 1]), np.array([0.1, 0.2]), np.array([0.3, 0.4])]),
     ]
@@ -438,12 +444,28 @@ def test_records_copy_their_inputs():
             a[0] = 7
         for name, want in zip(fields, before):
             assert np.array_equal(getattr(record, name), want), name
+            assert not getattr(record, name).flags.writeable, name
+    # the derived cumulative count is read-only too
+    table = TallyTable([1.0, 2.0], [1, 1], [0, 1])
+    assert table.at_or_below.tolist() == [1, 3] and not table.at_or_below.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.at_or_below[0] = 7
+
+
+def test_records_refuse_their_derived_counts():
+    """The cumulative count of a tally and the degenerate count of a study
+    are derived; passing one as in the old four- and five-argument calls
+    raises TypeError instead of landing in another field."""
+    with pytest.raises(TypeError):
+        TallyTable([1.0, 2.0], [1, 1], [0, 1], [1, 3])
+    with pytest.raises(TypeError):
+        StudyResult(SimConfig(mu=0.0, sigma=1.0, m=2), [0, 1], [0.1, 0.2], [0.3, 0.4], 0)
 
 
 def test_estimators_reject_a_tally_without_exact_rows():
     # a TallyTable built directly may carry censored rows only; the
     # estimators, not the Dataset, must then refuse it
-    table = TallyTable([1.0, 2.0], [0, 0], [1, 2], [1, 3])
+    table = TallyTable([1.0, 2.0], [0, 0], [1, 2])
     for estimator in (product_limit_cdf, rhr_mle_cdf, crhf_exp_cdf):
         with pytest.raises(AllCensoredError, match="every value is censored"):
             estimator(table)

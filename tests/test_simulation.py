@@ -319,13 +319,15 @@ def test_sweep_validates():
 def test_study_result_validation():
     cfg = SimConfig(mu=0.0, sigma=1.0, m=2)
     with pytest.raises(ValueError, match="share one length"):
-        StudyResult(cfg, [0, 1], [0.1], [0.1, 0.2], 0)
-    with pytest.raises(ValueError, match="count to m"):
-        StudyResult(cfg, [0], [0.1], [0.2], 0)
-    with pytest.raises(InvalidParameterError, match="n_degenerate"):
-        StudyResult(cfg, [0, 1, 2], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3], -1)
-    single = StudyResult(cfg, [0], [0.1], [0.2], 1)
-    assert single.n_pairs == 1
+        StudyResult(cfg, [0, 1], [0.1], [0.1, 0.2])
+    # indices must be distinct replications in [0, m), ascending
+    for indices in ([0, 1, 2], [1, 1], [1, 0], [-1], [2]):
+        ks = [0.1] * len(indices)
+        with pytest.raises(ValueError, match="distinct replications"):
+            StudyResult(cfg, indices, ks, ks)
+    single = StudyResult(cfg, [0], [0.1], [0.2])
+    assert single.n_pairs == 1 and single.n_degenerate == 1
+    assert StudyResult(cfg, [0, 1], [0.1, 0.2], [0.1, 0.2]).n_degenerate == 0
     assert math.isnan(single.se_diff)
 
 
