@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import stat
 import sys
@@ -46,19 +45,18 @@ from .estimators import (
     StepCdf,
     crhf_exp_cdf,
     eval_cdf,
-    greenwood_variance,
     mean_from_cdf,
     product_limit_cdf,
     rhr_mle_cdf,
-    rhr_variance,
 )
 from .simulation import _MAX_GRID_POINT, SimConfig, _integer, _real, run_study, sweep
 
-# Each method's fit with its variances, where the method has them.
+# Each method's fit. The lambdas look the function up on this module at call
+# time, so a wrapper set on ``lodcdf.cli`` sees every fit.
 _FITS = {
-    "product-limit": lambda table: greenwood_variance(table, product_limit_cdf(table)),
-    "rhr-mle": lambda table: rhr_variance(table, rhr_mle_cdf(table)),
-    "crhf-exp": crhf_exp_cdf,
+    "product-limit": lambda table: product_limit_cdf(table),
+    "rhr-mle": lambda table: rhr_mle_cdf(table),
+    "crhf-exp": lambda table: crhf_exp_cdf(table),
 }
 METHODS = tuple(_FITS)
 
@@ -249,9 +247,7 @@ def _parse_floats(text: str, *, flag: str) -> list[float]:
         raise InvalidParameterError(f"{flag} expects comma-separated numbers, got {text!r}")
     if not values:
         raise InvalidParameterError(f"{flag} expects at least one number")
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidParameterError(f"{flag} expects finite numbers, got {text!r}")
-    return values
+    return [_real(flag, v) for v in values]
 
 
 def _default_seed() -> int:

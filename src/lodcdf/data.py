@@ -115,7 +115,7 @@ def _observed(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TallyTable:
     """Per-distinct-value counts, ascending by value.
 

@@ -13,31 +13,35 @@ the jump values above t:
 The three differ only through ties (q* >= 1) and the exp(-u) >= 1-u gap; in
 particular the first two coincide on any sample where no censored value
 equals an exact value.
+
+The first two fits carry their pointwise variances (Greenwood's for the
+product-limit estimate, the delta method's for the RHR-MLE), computed from
+the same jump rows in the same call; the third carries none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .data import TallyTable, _frozen
+from .data import TallyTable, _frozen, _observed
 
 LeftoverPolicy = Literal["at-first-exact", "at-zero"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepCdf:
     """Right-continuous step CDF estimate.
 
     ``values[k]`` is the estimate at and after ``support[k]``; ``lower_value``
     is the estimate on [0, ``support[0]``). Below 0 the estimate is 0, since
     no observed value is negative. The last value is 1 by
-    construction (empty product). Variances are attached per jump by the
-    variance operations and stay None until then, as does ``lower_variance``,
-    the variance below the first jump, NaN where the underlying sum
-    degenerates (reported as "unstable" by the CLI).
+    construction (empty product). ``variances`` holds the variance at each
+    jump and ``lower_variance`` the one below the first jump, for the fits
+    that have a variance formula; both are None otherwise. A NaN variance
+    marks a degenerate sum (reported as "unstable" by the CLI).
     """
 
     support: np.ndarray
@@ -52,9 +56,10 @@ class StepCdf:
         values = _frozen(self.values, np.float64)
         if support.size == 0 or support.size != values.size:
             raise ValueError("support and values must share a positive length")
+        _observed(support)
         if support.size > 1 and not np.all(np.diff(support) > 0):
             raise ValueError("support must be strictly increasing")
-        if np.any(values < 0) or np.any(values > 1):
+        if not np.all((values >= 0) & (values <= 1)):
             raise ValueError("CDF values must lie in [0, 1]")
         if values.size > 1 and np.any(np.diff(values) < 0):
             raise ValueError("CDF values must be non-decreasing")
@@ -67,7 +72,7 @@ class StepCdf:
             variances = _frozen(variances, np.float64)
             if variances.size != support.size:
                 raise ValueError("variances must align with the support")
-            if np.any(variances[np.isfinite(variances)] < 0):
+            if np.any(variances < 0) or self.lower_variance < 0:
                 raise ValueError("variances must be >= 0")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", values)
@@ -93,7 +98,8 @@ def _tail_products(terms: np.ndarray, op: np.ufunc = np.multiply) -> tuple[np.nd
 
 
 def product_limit_cdf(table: TallyTable) -> StepCdf:
-    """Product-limit estimate of the CDF from a left-censored tally.
+    """Product-limit estimate of the CDF from a left-censored tally, with
+    its Greenwood variances.
 
     At each jump value the estimate is the product, over all exact values
     strictly above it, of (1 - d*/y*); above the last exact value the
@@ -102,14 +108,25 @@ def product_limit_cdf(table: TallyTable) -> StepCdf:
     distinct value is exact-only.
     Each rate d*/y* maximizes its jump's likelihood term d* log λ +
     (y* - d*) log(1 - λ), the term when a nondetect at L means X < L.
+
+    var at a jump = F̂² · sum over exact values above it of d*/(y*(y*-d*)).
+    The only possible degenerate term (y* = d*, first exact value with
+    nothing below) reaches only the region below the first jump, where the
+    estimate itself is 0; that 0·inf case is reported as NaN ("unstable").
     """
     values, exact, _, at_or_below = table.jumps()
     levels, lower = _tail_products(1.0 - exact / at_or_below)
-    return StepCdf(values, levels, lower, "product-limit")
+    with np.errstate(divide="ignore"):
+        tail, total = _tail_products(exact / (at_or_below * (at_or_below - exact)), np.add)
+    with np.errstate(invalid="ignore"):
+        variances = levels**2 * tail
+        lower_variance = float(lower)**2 * float(total)
+    return StepCdf(values, levels, lower, "product-limit", variances, lower_variance)
 
 
 def rhr_mle_cdf(table: TallyTable) -> StepCdf:
-    """Maximum-likelihood CDF estimate built from reversed-hazard rates.
+    """Maximum-likelihood CDF estimate built from reversed-hazard rates, with
+    its delta-method variances.
 
     Identical in form to the product-limit estimate except that censored
     observations tied to a jump value leave its denominator: the factor at
@@ -118,45 +135,6 @@ def rhr_mle_cdf(table: TallyTable) -> StepCdf:
     estimator and the product-limit one are the same function.
     Each rate d*/(y* - q*) maximizes its jump's likelihood term d* log λ +
     (y* - d* - q*) log(1 - λ), the term when a nondetect at L means X <= L.
-    """
-    values, exact, censored, at_or_below = table.jumps()
-    levels, lower = _tail_products(1.0 - exact / (at_or_below - censored))
-    return StepCdf(values, levels, lower, "rhr-mle")
-
-
-def crhf_exp_cdf(table: TallyTable) -> StepCdf:
-    """Exponentiated cumulative-reversed-hazard CDF estimate.
-
-    Replaces each product-limit factor (1 - d*/y*) by exp(-d*/y*), so the
-    estimate is exp(-sum of d*/y* above t): strictly positive everywhere
-    and pointwise >= the product-limit estimate.
-    """
-    values, exact, _, at_or_below = table.jumps()
-    tail, total = _tail_products(exact / at_or_below, np.add)
-    return StepCdf(values, np.exp(-tail), float(np.exp(-total)), "crhf-exp")
-
-
-def greenwood_variance(table: TallyTable, f: StepCdf) -> StepCdf:
-    """Greenwood-type variance for a product-limit StepCdf.
-
-    var at a jump = F̂² · sum over exact values above it of d*/(y*(y*-d*)).
-    The only possible degenerate term (y* = d*, first exact value with
-    nothing below) reaches only the region below the first jump, where the
-    estimate itself is 0; that 0·inf case is reported as NaN ("unstable").
-    """
-    values, exact, _, at_or_below = table.jumps()
-    if f.method != "product-limit" or not np.array_equal(f.support, values):
-        raise ValueError("f must be the product-limit StepCdf of the same tally")
-    with np.errstate(divide="ignore"):
-        tail, total = _tail_products(exact / (at_or_below * (at_or_below - exact)), np.add)
-    with np.errstate(invalid="ignore"):
-        variances = f.values**2 * tail
-        lower_variance = f.lower_value**2 * float(total)
-    return replace(f, variances=variances, lower_variance=lower_variance)
-
-
-def rhr_variance(table: TallyTable, f: StepCdf) -> StepCdf:
-    """Delta-method variance for the reversed-hazard-rate MLE StepCdf.
 
     var at a jump = F̂⁽¹⁾² · sum over exact values above it of
     d*_j/(y*_{j-1}(y*_j - q*_j)), where y*_{j-1} is the cumulative count at
@@ -165,13 +143,23 @@ def rhr_variance(table: TallyTable, f: StepCdf) -> StepCdf:
     there is defined as 0 (the estimator is degenerate at the bottom).
     """
     values, exact, censored, at_or_below = table.jumps()
-    if f.method != "rhr-mle" or not np.array_equal(f.support, values):
-        raise ValueError("f must be the rhr-mle StepCdf of the same tally")
+    levels, lower = _tail_products(1.0 - exact / (at_or_below - censored))
     prev_cum = np.concatenate(([0], at_or_below[:-1]))
     with np.errstate(divide="ignore"):
         tail, _ = _tail_products(exact / (prev_cum * (at_or_below - censored)), np.add)
-    variances = f.values**2 * tail
-    return replace(f, variances=variances, lower_variance=0.0)
+    return StepCdf(values, levels, lower, "rhr-mle", levels**2 * tail, 0.0)
+
+
+def crhf_exp_cdf(table: TallyTable) -> StepCdf:
+    """Exponentiated cumulative-reversed-hazard CDF estimate, without variances.
+
+    Replaces each product-limit factor (1 - d*/y*) by exp(-d*/y*), so the
+    estimate is exp(-sum of d*/y* above t): strictly positive everywhere
+    and pointwise >= the product-limit estimate.
+    """
+    values, exact, _, at_or_below = table.jumps()
+    tail, total = _tail_products(exact / at_or_below, np.add)
+    return StepCdf(values, np.exp(-tail), float(np.exp(-total)), "crhf-exp")
 
 
 def eval_cdf(f: StepCdf, t) -> tuple:

@@ -168,7 +168,7 @@ class SimConfig:
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyResult:
     """Per-replication KS distances for both estimators.
 

@@ -20,10 +20,8 @@ from lodcdf import (
     SimConfig,
     crhf_exp_cdf,
     ecdf,
-    greenwood_variance,
     product_limit_cdf,
     rhr_mle_cdf,
-    rhr_variance,
     run_study,
     tally,
 )
@@ -74,8 +72,8 @@ def test_criterion_2_hand_derived_fixture(announce):
     def body():
         pairs = [(1, False), (1, True), (2, True), (3, False), (3, True), (4, True)]
         table = tally(Dataset.from_pairs(pairs))
-        pl = greenwood_variance(table, product_limit_cdf(table))
-        rhr = rhr_variance(table, rhr_mle_cdf(table))
+        pl = product_limit_cdf(table)
+        rhr = rhr_mle_cdf(table)
         targets = [
             (pl.lower_value, 2 / 9),
             (pl.values[0], 4 / 9),
@@ -127,11 +125,9 @@ def test_criterion_3_property_suite(announce):
                 assert np.all((f.values >= 0) & (f.values <= 1))
                 assert np.all(np.diff(f.values) >= 0)
                 assert 0 <= f.lower_value <= f.values[0]
-            gvar = greenwood_variance(table, pl)
-            rvar = rhr_variance(table, rhr)
-            assert np.all(gvar.variances >= 0) and np.all(rvar.variances >= 0)
-            assert rvar.lower_variance == 0.0
-            assert math.isnan(gvar.lower_variance) or gvar.lower_variance >= 0
+            assert np.all(pl.variances >= 0) and np.all(rhr.variances >= 0)
+            assert rhr.lower_variance == 0.0
+            assert math.isnan(pl.lower_variance) or pl.lower_variance >= 0
             if bool(np.all(d.detected())):
                 emp = ecdf(d)
                 assert np.array_equal(pl.values, rhr.values)

@@ -15,11 +15,9 @@ from lodcdf import (
     Dataset,
     crhf_exp_cdf,
     eval_cdf,
-    greenwood_variance,
     ingest,
     product_limit_cdf,
     rhr_mle_cdf,
-    rhr_variance,
     tally,
 )
 from lodcdf import cli
@@ -109,8 +107,8 @@ def test_estimate_json_round_trips_to_the_fit(tmp_path_factory, pairs, scale):
     data.write_text("value,detected\n" + "".join(f"{v!r},{int(flag)}\n" for v, flag in pairs))
     table = tally(Dataset.from_pairs(pairs))
     fits = {
-        "product-limit": greenwood_variance(table, product_limit_cdf(table)),
-        "rhr-mle": rhr_variance(table, rhr_mle_cdf(table)),
+        "product-limit": product_limit_cdf(table),
+        "rhr-mle": rhr_mle_cdf(table),
         "crhf-exp": crhf_exp_cdf(table),
     }
     for method, fit in fits.items():
@@ -365,6 +363,20 @@ def test_crhf_has_no_variance_below_the_first_jump(capsys):
     code, out, _ = run(capsys, "estimate", str(SIX), "--method", "crhf-exp", "--eval-points", "0.5",
                        "--format", "json")
     assert json.loads(out)["eval"] == [{"t": 0.5, "crhf-exp": lower, "crhf-exp_variance": None}]
+
+
+def test_estimate_calls_each_fit_through_the_cli_module(capsys, monkeypatch):
+    """``estimate --method all`` looks every fit up on ``lodcdf.cli`` when it
+    runs, so a wrapper set there sees each call exactly once."""
+    calls = {}
+    for name in ("product_limit_cdf", "rhr_mle_cdf", "crhf_exp_cdf"):
+        def counted(table, name=name, fit=getattr(cli, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return fit(table)
+        monkeypatch.setattr(cli, name, counted)
+    code, _, _ = run(capsys, "estimate", str(SIX), "--method", "all", "--format", "json")
+    assert code == 0
+    assert calls == {"product_limit_cdf": 1, "rhr_mle_cdf": 1, "crhf_exp_cdf": 1}
 
 
 def test_estimate_output_file(capsys, tmp_path):

@@ -16,12 +16,10 @@ from lodcdf import (
     crhf_exp_cdf,
     ecdf,
     eval_cdf,
-    greenwood_variance,
     mean_from_cdf,
     product_limit_cdf,
     quantile_from_cdf,
     rhr_mle_cdf,
-    rhr_variance,
     tally,
 )
 from lodcdf.estimators import _tail_products
@@ -81,9 +79,7 @@ def test_six_obs_crhf_values():
 
 
 def test_six_obs_variances():
-    table, pl, rhr, _ = fits(SIX)
-    pl = greenwood_variance(table, pl)
-    rhr = rhr_variance(table, rhr)
+    _, pl, rhr, _ = fits(SIX)
     assert close(pl.variances[0], Fraction(4, 81))
     assert close(rhr.variances[0], Fraction(425, 8640))
     assert pl.variances[-1] == 0.0 and rhr.variances[-1] == 0.0
@@ -132,8 +128,7 @@ def test_all_exact_quantile():
 
 
 def test_eval_cdf_regions():
-    table, pl, _, _ = fits(SIX)
-    pl = greenwood_variance(table, pl)
+    _, pl, _, crhf = fits(SIX)
     assert eval_cdf(pl, 0.5) == (pl.lower_value, pl.lower_variance)
     assert eval_cdf(pl, 1.0)[0] == pl.values[0]
     assert eval_cdf(pl, 2.5)[0] == pl.values[1]
@@ -141,8 +136,7 @@ def test_eval_cdf_regions():
     assert eval_cdf(pl, float("inf")) == (1.0, 0.0)
     assert eval_cdf(pl, -0.0) == (pl.lower_value, pl.lower_variance)
     assert eval_cdf(pl, -1.0) == eval_cdf(pl, -float("inf")) == (0.0, 0.0)
-    bare = product_limit_cdf(table)
-    assert eval_cdf(bare, 1.0) == (bare.values[0], None)
+    assert eval_cdf(crhf, 1.0) == (crhf.values[0], None)
     with pytest.raises(ValueError, match="nan"):
         eval_cdf(pl, float("nan"))
     # an array of points gives arrays equal to the scalar calls, element by element
@@ -150,7 +144,7 @@ def test_eval_cdf_regions():
     estimates, variances = eval_cdf(pl, np.array(points))
     assert isinstance(estimates, np.ndarray) and isinstance(variances, np.ndarray)
     assert [(e, v) for e, v in zip(estimates.tolist(), variances.tolist())] == [eval_cdf(pl, t) for t in points]
-    assert eval_cdf(bare, points)[1] is None
+    assert eval_cdf(crhf, points)[1] is None
 
 
 # ------------------------------------------------------------ oracle match
@@ -170,16 +164,14 @@ def test_matches_exact_arithmetic(pairs):
     for x, (_, s) in zip(crhf.values, oracle.crhf_exponent(pairs)):
         assert math.isclose(x, math.exp(-float(s)), rel_tol=1e-12)
 
-    gvar = greenwood_variance(table, pl)
-    rvar = rhr_variance(table, rhr)
-    assert all(close(x, f) for x, f in zip(gvar.variances, oracle.greenwood_var(pairs)))
-    assert all(close(x, f) for x, f in zip(rvar.variances, oracle.rhr_var(pairs)))
+    assert all(close(x, f) for x, f in zip(pl.variances, oracle.greenwood_var(pairs)))
+    assert all(close(x, f) for x, f in zip(rhr.variances, oracle.rhr_var(pairs)))
     low = oracle.greenwood_lower(pairs)
     if low is None:
-        assert math.isnan(gvar.lower_variance)
-        assert gvar.lower_value == 0.0
+        assert math.isnan(pl.lower_variance)
+        assert pl.lower_value == 0.0
     else:
-        assert close(gvar.lower_variance, low)
+        assert close(pl.lower_variance, low)
 
     for policy in ("at-first-exact", "at-zero"):
         assert close(mean_from_cdf(pl, policy), oracle.mean(pairs, policy))
@@ -209,19 +201,17 @@ def test_ordering_and_range(pairs):
 @settings(max_examples=200, deadline=None)
 @given(pair_lists())
 def test_variances_nonnegative_zero_at_top(pairs):
-    table, pl, rhr, _ = fits(pairs)
-    gvar = greenwood_variance(table, pl)
-    rvar = rhr_variance(table, rhr)
-    for f in (gvar, rvar):
+    _, pl, rhr, _ = fits(pairs)
+    for f in (pl, rhr):
         assert np.all(f.variances >= 0)
         assert f.variances[-1] == 0.0
-    assert rvar.lower_variance == 0.0
-    if math.isnan(gvar.lower_variance):
+    assert rhr.lower_variance == 0.0
+    if math.isnan(pl.lower_variance):
         # only the all-mass-at-the-bottom case is unstable
         rows = [r for r in oracle.tally_pairs(pairs) if r.d >= 1]
         assert rows[0].y == rows[0].d
     else:
-        assert gvar.lower_variance >= 0
+        assert pl.lower_variance >= 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -421,6 +411,19 @@ def test_step_cdf_validation():
         StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([0.0, 0.0]), lower_variance=0.0)
     with pytest.raises(ValueError, match=">= 0"):
         StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([-1.0]), lower_variance=0.0)
+    # the variance sign rule covers -inf and the variance below the first jump; NaN is "unstable"
+    with pytest.raises(ValueError, match=">= 0"):
+        StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([-np.inf]), lower_variance=0.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([0.0]), lower_variance=-1.0)
+    StepCdf(np.array([1.0]), np.array([1.0]), 0.0, "x", variances=np.array([np.nan]), lower_variance=np.nan)
+    # support follows the value rule of Dataset and TallyTable: finite and >= 0
+    for support, bad in (([-2.0, -1.0], "-2.0"), ([np.nan, 1.0], "nan"), ([1.0, np.inf], "inf")):
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {bad}"):
+            StepCdf(np.array(support), np.array([0.5, 1.0]), 0.0, "x")
+    # a NaN estimate is not in [0, 1]
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        StepCdf(np.array([1.0, 2.0]), np.array([0.5, np.nan]), 0.0, "x")
 
 
 def test_records_copy_their_inputs():
@@ -452,6 +455,24 @@ def test_records_copy_their_inputs():
         table.at_or_below[0] = 7
 
 
+def test_records_compare_by_identity():
+    """Records with array columns compare and hash by identity, so ``==`` and
+    ``hash`` work on records of any length."""
+    cfg = SimConfig(mu=0.0, sigma=1.0, m=2)
+    builds = [
+        lambda: TallyTable([1.0, 2.0], [1, 1], [0, 1]),
+        lambda: StepCdf([1.0, 2.0], [0.5, 1.0], 0.0, "x", variances=[0.1, 0.0], lower_variance=0.0),
+        lambda: StudyResult(cfg, [0, 1], [0.1, 0.2], [0.3, 0.4]),
+    ]
+    for build in builds:
+        record, twin = build(), build()
+        assert record == record
+        assert record != twin and not record == twin
+        assert hash(record) == hash(record)
+        assert len({record, twin}) == 2
+    assert cfg == SimConfig(mu=0.0, sigma=1.0, m=2)  # scalars only: value equality
+
+
 def test_records_refuse_their_derived_counts():
     """The cumulative count of a tally and the degenerate count of a study
     are derived; passing one as in the old four- and five-argument calls
@@ -470,10 +491,3 @@ def test_estimators_reject_a_tally_without_exact_rows():
         with pytest.raises(AllCensoredError, match="every value is censored"):
             estimator(table)
 
-
-def test_variance_requires_matching_curve():
-    table, pl, rhr, _ = fits(SIX)
-    with pytest.raises(ValueError):
-        greenwood_variance(table, rhr)
-    with pytest.raises(ValueError):
-        rhr_variance(table, pl)

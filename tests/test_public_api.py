@@ -14,9 +14,9 @@ from conftest import FIXTURES
 
 PUBLIC = ["AllCensoredError", "Dataset", "IngestError", "InvalidParameterError", "LeftoverPolicy",
           "SimConfig", "StepCdf", "StudyDegenerateError", "StudyResult", "SubstitutionStrategy",
-          "TallyTable", "crhf_exp_cdf", "ecdf", "eval_cdf", "greenwood_variance", "ingest",
-          "mean_from_cdf", "product_limit_cdf", "quantile_from_cdf", "rhr_mle_cdf", "rhr_variance",
-          "run_study", "substitution_mean", "substream", "sweep", "tally"]
+          "TallyTable", "crhf_exp_cdf", "ecdf", "eval_cdf", "ingest", "mean_from_cdf",
+          "product_limit_cdf", "quantile_from_cdf", "rhr_mle_cdf", "run_study",
+          "substitution_mean", "substream", "sweep", "tally"]
 STUDY_NAMES = ["SimConfig", "StudyResult", "run_study", "substream", "sweep"]
 
 
