@@ -283,7 +283,11 @@ def _emit(parts: list[bytes], output: str | None) -> None:
     # Created exclusively: a file already at the temporary name is neither
     # written nor removed.
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, f"{exc.strerror}; no temporary file could be created next to it",
+                      output) from exc
     try:
         with fh:
             fh.writelines(parts)

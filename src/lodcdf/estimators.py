@@ -200,15 +200,19 @@ def mean_from_cdf(f: StepCdf, leftover_policy: LeftoverPolicy = "at-first-exact"
 
 
 def quantile_from_cdf(f: StepCdf, p: float) -> float:
-    """Smallest jump value t with F̂(t) >= p, for p in (lower_value, 1].
+    """Smallest jump value t with F̂(t) >= p, for p in (lower_value, values[-1]].
 
     For p <= lower_value the generalized inverse lies below the first jump,
-    where no value was observed, so ValueError is raised there.
+    where no value was observed, and for p above the last estimate (a curve
+    may stop below 1) no jump reaches p, so ValueError is raised there.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
     if p <= f.lower_value:
         raise ValueError(f"p={p!r} is at or below lower_value={f.lower_value!r}: "
                          "the quantile lies below the first jump, where nothing was observed")
+    if p > f.values[-1]:
+        raise ValueError(f"p={p!r} is above the last estimate {float(f.values[-1])!r}: "
+                         "no jump reaches it")
     idx = int(np.searchsorted(f.values, p, side="left"))
     return float(f.support[idx])

@@ -52,12 +52,17 @@ def compute_table(data_path: Path, tmp_path: Path) -> tuple[np.ndarray, float]:
     code = main(argv)
     elapsed = time.perf_counter() - start
     assert code == 0
+    return read_table(out), elapsed
+
+
+def read_table(path: Path) -> np.ndarray:
+    """The numeric rows of an ``estimate`` CSV as a matrix."""
     rows = [
         line.split(",")
-        for line in out.read_text().splitlines()
+        for line in path.read_text().splitlines()
         if line and not line.startswith("#") and not line.startswith("t,")
     ]
-    return np.array([[float(c) for c in row] for row in rows]), elapsed
+    return np.array([[float(c) for c in row] for row in rows])
 
 
 def assert_matches_golden(matrix: np.ndarray, tol: float = 1e-6) -> float:

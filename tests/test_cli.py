@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +476,29 @@ def test_output_to_directory_exits_2(capsys, tmp_path, monkeypatch):
         assert code == 2, target
         assert out == "" and err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_in_missing_directory_names_the_output(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "estimate", str(SIX), "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert str(Path("missing", "x.csv")) in err
+    assert ".tmp" not in err
+    assert "no temporary file could be created" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_cli_examples_parse():
+    """Every ``lodcdf ...`` line of README's "Command line" block is
+    accepted by the parser, so a removed or renamed flag cannot stay there."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("lodcdf ")]
+    assert len(examples) == 5
+    parser = cli.build_parser()
+    for argv in examples:
+        assert parser.parse_args(argv).func is not None, argv
 
 
 def test_estimate_rejects_non_finite_eval_points(capsys):

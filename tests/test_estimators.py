@@ -122,6 +122,15 @@ def test_quantile_at_or_below_lower_value_is_the_first_jump():
     assert quantile_from_cdf(pl, math.nextafter(pl.lower_value, 1.0)) == 0.5
 
 
+def test_quantile_above_the_last_estimate_is_refused():
+    """A curve may stop below 1; no jump reaches a p above its last value."""
+    f = StepCdf([1.0, 2.0], [0.2, 0.5], 0.0, "x")
+    assert quantile_from_cdf(f, 0.5) == 2.0
+    for p in (0.9, 1.0):
+        with pytest.raises(ValueError, match="last estimate 0.5"):
+            quantile_from_cdf(f, p)
+
+
 def test_all_exact_quantile():
     _, pl, _, _ = fits([(1, True), (2, True), (3, True)])
     assert quantile_from_cdf(pl, 0.34) == 2.0
