@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -81,11 +81,6 @@ class Dataset:
             raise AllCensoredError(_ALL_CENSORED)
         self._values = values
         self._detected = _frozen(detected, bool)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, bool]]) -> "Dataset":
-        pairs = list(pairs)
-        return cls([v for v, _ in pairs], [d for _, d in pairs])
 
     @property
     def n(self) -> int:

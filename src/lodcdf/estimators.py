@@ -21,6 +21,7 @@ the same jump rows in the same call; the third carries none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -37,11 +38,12 @@ class StepCdf:
 
     ``values[k]`` is the estimate at and after ``support[k]``; ``lower_value``
     is the estimate on [0, ``support[0]``). Below 0 the estimate is 0, since
-    no observed value is negative. The last value is 1 by
-    construction (empty product). ``variances`` holds the variance at each
-    jump and ``lower_variance`` the one below the first jump, for the fits
-    that have a variance formula; both are None otherwise. A NaN variance
-    marks a degenerate sum (reported as "unstable" by the CLI).
+    no observed value is negative. The three estimators' fits end at 1
+    (empty product); other curves may stop below it. ``variances`` holds the
+    variance at each jump and ``lower_variance`` the one below the first
+    jump, for the fits that have a variance formula; both are None
+    otherwise. A NaN variance marks a degenerate sum (reported as
+    "unstable" by the CLI).
     """
 
     support: np.ndarray
@@ -188,12 +190,13 @@ def mean_from_cdf(f: StepCdf, leftover_policy: LeftoverPolicy = "at-first-exact"
 
     The mass below the first jump (lower_value) has no observed location;
     `at-first-exact` stacks it on the first jump value, `at-zero` places it
-    at 0. The two bracket any answer a substitution rule could give.
+    at 0. The two bracket any answer a substitution rule could give. The
+    sum is correctly rounded (``math.fsum``), so no BLAS thread count moves it.
     """
     if leftover_policy not in ("at-first-exact", "at-zero"):
         raise ValueError(f"unknown leftover policy {leftover_policy!r}")
     masses = np.diff(f.values, prepend=f.lower_value)
-    mean = float(np.dot(f.support, masses))
+    mean = math.fsum((f.support * masses).tolist())
     if leftover_policy == "at-first-exact":
         mean += float(f.support[0]) * f.lower_value
     return mean

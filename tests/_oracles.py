@@ -14,7 +14,9 @@ reverse Kaplan-Meier of Gillespie et al. 2010). They use the package's
 and handing a step function back; no tally or estimator code.
 
 The last ones are float references built from the package's own parts:
-`rhr_table` reads the reversed-hazard rates off `TallyTable.jumps()`, and
+`rhr_table` reads the reversed-hazard rates off `TallyTable.jumps()`,
+`ecdf` is the empirical CDF of a tally with the censoring flags ignored
+(what the product-limit estimate must equal when nothing is censored), and
 `_replicate` runs one simulation replication the scalar way (one
 `Dataset`, one `tally`, two estimators, two `ks_distance` calls), the
 reference the batched study engine must match bit for bit. Its parts
@@ -288,6 +290,12 @@ def rhr_table(table: TallyTable) -> RhrTable:
     """Reversed-hazard-rate MLEs r̂ = d/(y - q) at each value with d >= 1."""
     values, exact, censored, at_or_below = table.jumps()
     return RhrTable(values, exact / (at_or_below - censored))
+
+
+def ecdf(dataset: Dataset) -> StepCdf:
+    """Empirical CDF of the values, censoring flags ignored."""
+    table = tally(dataset)
+    return StepCdf(table.values, table.at_or_below / table.n, 0.0, "ecdf")
 
 
 def sample_lognormal(mu: float, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Shared test helpers: random dataset factories, acceptance reporting and
-the import path of child interpreters."""
+"""Shared test helpers: random dataset factories, a dataset from
+(value, detected) pairs, acceptance reporting and the import path of child
+interpreters."""
 
 from __future__ import annotations
 
@@ -57,10 +58,15 @@ def make_tied_dataset(rng: np.random.Generator, n: int | None = None,
     """Grid dataset with at least one guaranteed exact/censored tie."""
     base = make_grid_dataset(rng, n=n, max_n=max_n)
     value = float(base.values()[int(rng.integers(0, base.n))])
-    pairs = [(float(v), bool(f)) for v, f in zip(base.values(), base.detected())]
-    pairs.append((value, True))
-    pairs.append((value, False))
-    return Dataset.from_pairs(pairs)
+    return Dataset(np.append(base.values(), [value, value]),
+                   np.append(base.detected(), [True, False]))
+
+
+def pairs_dataset(pairs) -> Dataset:
+    """Dataset from (value, detected) pairs, the form hand examples and
+    hypothesis strategies write."""
+    pairs = list(pairs)
+    return Dataset([v for v, _ in pairs], [d for _, d in pairs])
 
 
 @pytest.fixture

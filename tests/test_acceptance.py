@@ -19,7 +19,6 @@ from lodcdf import (
     Dataset,
     SimConfig,
     crhf_exp_cdf,
-    ecdf,
     product_limit_cdf,
     rhr_mle_cdf,
     run_study,
@@ -27,8 +26,9 @@ from lodcdf import (
 )
 from lodcdf.cli import main
 
-from _oracles import km_negation_oracle, perturb_censored_ties, rhr_table
-from conftest import FIXTURES, make_grid_dataset, make_tie_free_dataset, make_tied_dataset
+from _oracles import ecdf, km_negation_oracle, perturb_censored_ties, rhr_table
+from conftest import (FIXTURES, make_grid_dataset, make_tie_free_dataset, make_tied_dataset,
+                      pairs_dataset)
 from _golden import assert_matches_golden, compute_table
 
 DATA_DIR = Path(__file__).parent.parent / "data"
@@ -71,7 +71,7 @@ def test_criterion_2_hand_derived_fixture(announce):
 
     def body():
         pairs = [(1, False), (1, True), (2, True), (3, False), (3, True), (4, True)]
-        table = tally(Dataset.from_pairs(pairs))
+        table = tally(pairs_dataset(pairs))
         pl = product_limit_cdf(table)
         rhr = rhr_mle_cdf(table)
         targets = [

@@ -7,65 +7,31 @@ from hypothesis import strategies as st
 
 from lodcdf import (
     Dataset,
-    SubstitutionStrategy,
-    ecdf,
     product_limit_cdf,
     rhr_mle_cdf,
-    substitution_mean,
     tally,
 )
 
-from _oracles import km_negation_oracle, km_survival, perturb_censored_ties
+from _oracles import ecdf, km_negation_oracle, km_survival, perturb_censored_ties
+from conftest import pairs_dataset
 from test_estimators import SIX, pair_lists
 
 
-def test_substitution_hand_values():
-    d = Dataset.from_pairs([(2, False), (4, True)])
-    assert substitution_mean(d, SubstitutionStrategy.ZERO) == 2.0
-    assert substitution_mean(d, SubstitutionStrategy.HALF_LOD) == 2.5
-    assert substitution_mean(d, SubstitutionStrategy.LOD) == 3.0
-    expected = (2 / math.sqrt(2) + 4) / 2
-    assert math.isclose(
-        substitution_mean(d, SubstitutionStrategy.LOD_OVER_SQRT2), expected, rel_tol=1e-15
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(pair_lists())
-def test_substitution_ordering(pairs):
-    d = Dataset.from_pairs(pairs)
-    means = [
-        substitution_mean(d, s)
-        for s in (
-            SubstitutionStrategy.ZERO,
-            SubstitutionStrategy.HALF_LOD,
-            SubstitutionStrategy.LOD_OVER_SQRT2,
-            SubstitutionStrategy.LOD,
-        )
-    ]
-    assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
-    # no censoring: every strategy is the plain mean
-    d2 = Dataset.from_pairs([(v, True) for v, _ in pairs])
-    plain = float(np.mean(d2.values()))
-    for s in SubstitutionStrategy:
-        assert math.isclose(substitution_mean(d2, s), plain, rel_tol=1e-15)
-
-
 def test_ecdf_hand_values():
-    f = ecdf(Dataset.from_pairs([(1, True), (2, True), (3, True)]))
+    f = ecdf(pairs_dataset([(1, True), (2, True), (3, True)]))
     assert f.support.tolist() == [1.0, 2.0, 3.0]
     assert np.allclose(f.values, [1 / 3, 2 / 3, 1.0], rtol=1e-15)
-    f = ecdf(Dataset.from_pairs([(2, True), (2, True), (4, True)]))
+    f = ecdf(pairs_dataset([(2, True), (2, True), (4, True)]))
     assert f.support.tolist() == [2.0, 4.0]
     assert np.allclose(f.values, [2 / 3, 1.0], rtol=1e-15)
-    f = ecdf(Dataset.from_pairs([(7, True)]))
+    f = ecdf(pairs_dataset([(7, True)]))
     assert f.support.tolist() == [7.0] and f.values.tolist() == [1.0]
     assert f.lower_value == 0.0
 
 
 def test_ecdf_ignores_censor_flags():
-    a = ecdf(Dataset.from_pairs([(1, True), (2, False), (2, True)]))
-    b = ecdf(Dataset.from_pairs([(1, True), (2, True), (2, True)]))
+    a = ecdf(pairs_dataset([(1, True), (2, False), (2, True)]))
+    b = ecdf(pairs_dataset([(1, True), (2, True), (2, True)]))
     assert np.array_equal(a.values, b.values)
 
 
@@ -89,14 +55,14 @@ def test_km_survival_requires_an_event():
 
 
 def test_negation_oracle_all_exact_is_ecdf():
-    d = Dataset.from_pairs([(1, True), (2, True), (5, True)])
+    d = pairs_dataset([(1, True), (2, True), (5, True)])
     a, b = km_negation_oracle(d), ecdf(d)
     assert np.array_equal(a.support, b.support)
     assert np.allclose(a.values, b.values, rtol=1e-12, atol=0)
 
 
 def test_negation_oracle_tie_free_example():
-    d = Dataset.from_pairs([(1, True), (2, False), (3, True)])
+    d = pairs_dataset([(1, True), (2, False), (3, True)])
     a = km_negation_oracle(d)
     b = product_limit_cdf(tally(d))
     assert np.array_equal(a.support, b.support)
@@ -121,7 +87,7 @@ def test_negation_oracle_matches_product_limit_tie_free(data):
 
 
 def test_six_obs_perturbed_oracle_equals_rhr():
-    d = Dataset.from_pairs(SIX)
+    d = pairs_dataset(SIX)
     rhr = rhr_mle_cdf(tally(d))
     pert = perturb_censored_ties(d)
     a = km_negation_oracle(pert)
@@ -135,7 +101,7 @@ def test_perturbation_turns_rhr_into_product_limit(pairs):
     """Nudging each censored value that ties an exact value upward by a
     sub-gap epsilon makes the plain product-limit estimator reproduce the
     RHR-MLE of the original data at every exact jump."""
-    d = Dataset.from_pairs(pairs)
+    d = pairs_dataset(pairs)
     rhr = rhr_mle_cdf(tally(d))
     pert = perturb_censored_ties(d)
     pl = product_limit_cdf(tally(pert))
@@ -148,7 +114,7 @@ def test_perturbation_turns_rhr_into_product_limit(pairs):
 @settings(max_examples=150, deadline=None)
 @given(pair_lists())
 def test_perturbation_moves_only_tied_censored_values(pairs):
-    d = Dataset.from_pairs(pairs)
+    d = pairs_dataset(pairs)
     pert = perturb_censored_ties(d)
     assert pert.n == d.n
     exact_values = set(float(v) for v, f in zip(d.values(), d.detected()) if f)

@@ -26,7 +26,7 @@ from lodcdf import cli
 from lodcdf.cli import METHODS, main
 
 from _oracles import fmt_cell
-from conftest import FIXTURES
+from conftest import FIXTURES, pairs_dataset
 from test_estimators import pair_lists
 
 SIX = FIXTURES / "six_obs.csv"
@@ -107,7 +107,7 @@ def test_estimate_json_round_trips_to_the_fit(tmp_path_factory, pairs, scale):
     workdir = tmp_path_factory.mktemp("roundtrip")
     data, out = workdir / "data.csv", workdir / "fit.json"
     data.write_text("value,detected\n" + "".join(f"{v!r},{int(flag)}\n" for v, flag in pairs))
-    table = tally(Dataset.from_pairs(pairs))
+    table = tally(pairs_dataset(pairs))
     fits = {
         "product-limit": product_limit_cdf(table),
         "rhr-mle": rhr_mle_cdf(table),
@@ -247,7 +247,7 @@ def test_csv_cells_are_the_scalar_evaluation(tmp_path_factory, pairs, method, at
     workdir = tmp_path_factory.mktemp("cells")
     data, out = workdir / "data.csv", workdir / "fit.csv"
     data.write_text("value,detected\n" + "".join(f"{v!r},{int(flag)}\n" for v, flag in pairs))
-    table = tally(Dataset.from_pairs(pairs))
+    table = tally(pairs_dataset(pairs))
     fits = {name: cli._FITS[name](table) for name in METHODS}
     support = fits["product-limit"].support.tolist()
     mids = [(a + b) / 2 for a, b in zip(support, support[1:])]
@@ -501,6 +501,18 @@ def test_readme_cli_examples_parse():
         assert parser.parse_args(argv).func is not None, argv
 
 
+def test_readme_python_example_runs():
+    """README's Quick start block runs, and its fit is the one its comments state."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    fit = namespace["fit"]
+    assert fit.support.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert np.allclose(fit.values, [4 / 9, 2 / 3, 5 / 6, 1.0], rtol=1e-15, atol=0)
+    assert math.isclose(fit.lower_value, 2 / 9, rel_tol=1e-15)
+
+
 def test_estimate_rejects_non_finite_eval_points(capsys):
     for points in ("nan", "inf", "1,-inf", "nan,inf"):
         code, out, err = run(capsys, "estimate", str(SIX), "--eval-points", points)
@@ -586,11 +598,11 @@ EVAL = "0,0.3,0.5,1,1.5,2,2.5,3,10,100"
 
 # sha256 of each command's output file on the two fixtures: a change to the
 # estimator kernel must keep these bytes. The outputs use only correctly
-# rounded arithmetic and the %.7g cell format, so the digests hold on any
-# host. JSON from crhf-exp (and "all") and from compare is left out: its
-# full-precision numbers go through np.exp and np.dot, whose last bit
-# depends on the SIMD or BLAS kernel (numpy's AVX-512 exp differs from
-# libm's in the last bit on one crhf-exp value of each fixture).
+# rounded arithmetic (compare's means sum with math.fsum) and the %.7g cell
+# format, so the digests hold on any host. JSON from crhf-exp (and "all")
+# is left out: its full-precision numbers go through np.exp, whose last bit
+# depends on the SIMD kernel (numpy's AVX-512 exp differs from libm's in
+# the last bit on one crhf-exp value of each fixture).
 FROZEN_DIGESTS = {
     "groundwater_reconstructed.csv estimate --method product-limit --format csv":
         "b91b5bb503919582c1879c29e2dd32bf2e6f0ae483214d823dba333ed720b244",
@@ -618,6 +630,8 @@ FROZEN_DIGESTS = {
         "a40a26c3c5cda83ac88190be839aac8a521d249abffb73e299458d376ce65b85",
     "groundwater_reconstructed.csv compare --format csv":
         "fee3055fad3b830b0ec0d15694f3ee13a9a590d99ab474b6e89ba30d924f9d60",
+    "groundwater_reconstructed.csv compare --format json":
+        "c7fea4dc40af22d44ee742047b9a806162ce92ec0e5874a0ffd06cd37a9b24f7",
     "six_obs.csv estimate --method product-limit --format csv":
         "6ab735aa3b61ef9857bbf9e580759bebb31b021adfc109fc3e96bbe1927cd960",
     f"six_obs.csv estimate --method product-limit --format csv --eval-points {EVAL}":
@@ -644,6 +658,8 @@ FROZEN_DIGESTS = {
         "bb8e3df09e15961401dae84882ca0e2216d65f6036e07a953ae1845a1d08113b",
     "six_obs.csv compare --format csv":
         "93e7181bd4f6e9f62ca957ba53537ecb2332589022c0aa92f1dbf30bc90d485a",
+    "six_obs.csv compare --format json":
+        "007b85a83f2d9f20be705325420efe1d63a6d0c76489d5ec4884f0890cc12ceb",
 }
 
 
@@ -653,6 +669,22 @@ def test_fixture_outputs_keep_their_digest(command, tmp_path):
     out = tmp_path / "out"
     assert main(args[:1] + [str(FIXTURES / name)] + args[1:] + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_DIGESTS[command]
+
+
+def test_compare_json_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """compare's means are the same bits under one and two OpenBLAS threads
+    on 50k distinct jumps, where a BLAS dot changes its summation order."""
+    rng = np.random.default_rng(1)
+    lifetimes = np.exp(rng.standard_normal(50_000))
+    lods = np.array([0.5, 1.0, 2.0])[rng.integers(0, 3, lifetimes.size)]
+    rows = zip(np.maximum(lifetimes, lods).tolist(), (lifetimes >= lods).tolist())
+    data = tmp_path / "lognormal.csv"
+    data.write_text("".join(f"{v!r},{d:d}\n" for v, d in rows))
+    outputs = [subprocess.run([sys.executable, "-m", "lodcdf.cli", "compare", str(data),
+                               "--format", "json"], capture_output=True, check=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------- simulate

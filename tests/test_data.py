@@ -23,17 +23,17 @@ from conftest import FIXTURES
 
 
 def test_dataset_validates():
-    Dataset.from_pairs([(1.5, True)])
-    Dataset.from_pairs([(0.0, False), (1.5, True)])
+    Dataset([1.5], [True])
+    Dataset([0.0, 1.5], [False, True])
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            Dataset.from_pairs([(bad, True)])
+            Dataset([bad], [True])
         with pytest.raises(ValueError):
             Dataset(np.array([1.0, bad]), np.array([True, False]))
     with pytest.raises(ValueError):  # text is not a number
-        Dataset.from_pairs([("1.5", True)])
+        Dataset(["1.5"], [True])
     with pytest.raises(ValueError):
-        Dataset.from_pairs([])
+        Dataset([], [])
     with pytest.raises(ValueError):  # one flag per value
         Dataset(np.ones(3), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):  # two columns, not a table
@@ -42,12 +42,11 @@ def test_dataset_validates():
         with pytest.raises(ValueError, match="flag must be 0 or 1"):
             Dataset(np.array([1.0]), np.array(flags))
     with pytest.raises(ValueError, match="flag must be 0 or 1"):
-        Dataset.from_pairs([(1.0, 2), (2.0, 0.5)])
+        Dataset([1.0, 2.0], [2, 0.5])
 
 
 def test_dataset_coerces_types():
-    d = Dataset.from_pairs([(np.float64(2.0), np.bool_(True)),
-                            (np.float32(0.5), np.int64(0)), (3, 1)])
+    d = Dataset([np.float64(2.0), np.float32(0.5), 3], [np.bool_(True), np.int64(0), 1])
     assert d.values().dtype == np.float64 and d.detected().dtype == bool
     assert d.values().tolist() == [2.0, 0.5, 3.0]
     assert d.detected().tolist() == [True, False, True]
@@ -65,7 +64,7 @@ def test_dataset_coerces_types():
 
 def test_dataset_requires_a_detection():
     with pytest.raises(AllCensoredError):
-        Dataset.from_pairs([(1.0, False), (2.0, False)])
+        Dataset([1.0, 2.0], [False, False])
 
 
 def test_dataset_arrays_round_trip():
@@ -375,7 +374,7 @@ def test_tally_table_validation():
 
 
 def test_exact_tally_drops_censored_only_rows():
-    d = Dataset.from_pairs([(1, False), (2, True), (3, False), (4, True)])
+    d = Dataset([1, 2, 3, 4], [False, True, False, True])
     values, exact, censored, at_or_below = tally(d).jumps()
     assert values.tolist() == [2.0, 4.0]
     assert at_or_below.tolist() == [2, 4]
@@ -395,7 +394,7 @@ def test_tally_is_a_partition(data):
     )
     flags = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     flags[data.draw(st.integers(0, n - 1))] = True
-    d = Dataset.from_pairs(list(zip(values, flags)))
+    d = Dataset(values, flags)
     t = tally(d)
     assert int(t.exact.sum() + t.censored.sum()) == n
     assert int(t.at_or_below[-1]) == n
@@ -432,7 +431,7 @@ def test_tally_groups_like_a_dict_count(pairs, censored_only):
     if not any(d for _, d in pairs):
         pairs.append((1.0, True))
     values, detected = zip(*pairs)
-    t = tally(Dataset.from_pairs(pairs))
+    t = tally(Dataset(values, detected))
     keys, exact, censored = _dict_tally(values, detected)
     assert t.values.tolist() == keys
     assert t.exact.tolist() == exact

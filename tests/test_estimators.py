@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from lodcdf import (
     AllCensoredError,
-    Dataset,
     SimConfig,
     StepCdf,
     StudyResult,
     TallyTable,
     crhf_exp_cdf,
-    ecdf,
     eval_cdf,
     mean_from_cdf,
     product_limit_cdf,
@@ -25,7 +23,8 @@ from lodcdf import (
 from lodcdf.estimators import _tail_products
 
 import _oracles as oracle
-from _oracles import rhr_table
+from _oracles import ecdf, rhr_table
+from conftest import pairs_dataset
 
 SIX = [(1, False), (1, True), (2, True), (3, False), (3, True), (4, True)]
 
@@ -41,7 +40,7 @@ def pair_lists(draw, max_n=60):
 
 
 def fits(pairs):
-    table = tally(Dataset.from_pairs(pairs))
+    table = tally(pairs_dataset(pairs))
     pl = product_limit_cdf(table)
     rhr = rhr_mle_cdf(table)
     return table, pl, rhr, crhf_exp_cdf(table)
@@ -87,7 +86,7 @@ def test_six_obs_variances():
 
 
 def test_six_obs_rates():
-    table = tally(Dataset.from_pairs(SIX))
+    table = tally(pairs_dataset(SIX))
     rt = rhr_table(table)
     assert rt.values.tolist() == [1.0, 2.0, 3.0, 4.0]
     expected = [Fraction(1), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)]
@@ -248,7 +247,7 @@ def test_no_censoring_collapse(pairs):
     for row, (_, f) in zip(oracle.tally_pairs(pairs), jumps):
         assert f == Fraction(row.y, n)
     # float route agrees with the ECDF to rounding
-    emp = ecdf(Dataset.from_pairs(pairs))
+    emp = ecdf(pairs_dataset(pairs))
     assert np.array_equal(emp.support, pl.support)
     assert np.allclose(pl.values, emp.values, rtol=1e-12, atol=0)
 
@@ -309,7 +308,7 @@ def test_rates_maximize_each_likelihood_coordinate(pairs):
     under X <= L. At a jump with tied nondetects (q >= 1) the rates differ,
     and each reading's term is strictly lower at the other reading's rate,
     checked in exact arithmetic."""
-    table = tally(Dataset.from_pairs(pairs))
+    table = tally(pairs_dataset(pairs))
     _, exact, _, at_or_below = table.jumps()
     rates = {"X<L": exact / at_or_below, "X<=L": rhr_table(table).rates}
     rows = [r for r in oracle.tally_pairs(pairs) if r.d >= 1]
@@ -335,7 +334,7 @@ def test_likelihood_curvature_closed_form(pairs):
     maximizer, evaluated in the cancellation-free rearrangement
     f(r+h)+f(r-h)-2f(r) = d·log1p(-(h/r)²) + b·log1p(-(h/(1-r))²),
     matches -(y-q)³/(d(y-d-q)) to 1e-6 relative."""
-    table = tally(Dataset.from_pairs(pairs))
+    table = tally(pairs_dataset(pairs))
     rt = rhr_table(table)
     rows = [r for r in oracle.tally_pairs(pairs) if r.d >= 1]
     h = 1e-5

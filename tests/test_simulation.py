@@ -192,10 +192,10 @@ def test_ks_distance_single_jump():
 
 
 def test_ks_distance_six_obs_hand_value():
-    d = [(1, False), (1, True), (2, True), (3, False), (3, True), (4, True)]
     from lodcdf import Dataset
 
-    f = product_limit_cdf(tally(Dataset.from_pairs(d)))
+    d = Dataset([1, 1, 2, 3, 3, 4], [False, True, True, False, True, True])
+    f = product_limit_cdf(tally(d))
     gaps = [abs(float(ndtr(math.log(t))) - v) for t, v in zip(f.support, f.values)]
     assert math.isclose(ks_distance(f, 0.0, 1.0), max(gaps), rel_tol=1e-15)
 
