@@ -227,11 +227,6 @@ def _json_values(column: np.ndarray) -> list:
     return values
 
 
-def _json_safe(x: float | None) -> float | None:
-    """One float as a JSON value; None stays null."""
-    return _json_values(np.array([x], dtype=np.float64))[0]
-
-
 def _json_rows(columns: dict[str, np.ndarray | None]) -> list[dict]:
     """One JSON object per row, keyed by the column names; as in ``_csv``,
     the first column sets the row count and a None column is all null."""
@@ -329,7 +324,7 @@ def _step_json(f: StepCdf) -> dict:
     out = {
         "method": f.method,
         "lower_value": f.lower_value,
-        "lower_variance": _json_safe(f.lower_variance),
+        "lower_variance": _json_values(np.array([f.lower_variance], dtype=np.float64))[0],
         "support": f.support,
         "values": f.values,
     }
@@ -420,7 +415,7 @@ def cmd_simulate(args: argparse.Namespace) -> list[bytes]:
         "n_pairs": result.n_pairs,
         "n_degenerate": result.n_degenerate,
         "mean_diff": result.mean_diff,
-        "se_diff": _json_safe(result.se_diff),
+        "se_diff": _json_values(np.array([result.se_diff], dtype=np.float64))[0],
     }
     if args.full:
         doc["pairs"] = [list(pair) for pair in zip(

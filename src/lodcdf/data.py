@@ -66,12 +66,10 @@ class Dataset:
 
     def __init__(self, values: np.ndarray, detected: np.ndarray):
         values, detected = np.asarray(values), np.asarray(detected)
-        if values.dtype.kind not in "biuf" or detected.dtype.kind not in "biuf":
-            raise ValueError("dataset values and flags must be numbers")
         if values.ndim != 1 or values.shape != detected.shape:
             raise ValueError("dataset values and flags must be 1-D arrays of equal length")
         if detected.dtype.kind != "b":
-            odd = (detected != 0) & (detected != 1)  # NaN is neither
+            odd = np.isin(_frozen(detected, np.float64), (0, 1), invert=True)  # NaN is neither
             if odd.any():
                 raise ValueError(f"detection flag must be 0 or 1, got {detected[odd][0].item()!r}")
         if not values.size:
@@ -94,12 +92,18 @@ class Dataset:
 
 
 def _frozen(a, dtype) -> np.ndarray:
-    """A read-only ``dtype`` copy of ``a``. Every column of ``Dataset``,
-    ``TallyTable``, ``StepCdf`` and ``StudyResult`` is made by it, so no
-    record shares memory with its caller or can be written through."""
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
+    """A read-only ``dtype`` copy of the numbers ``a``, none changed by an integer cast.
+    Every column of ``Dataset``, ``TallyTable``, ``StepCdf`` and ``StudyResult`` is
+    made by it, so no record shares memory with its caller or can be written through."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"record columns must be numbers, got {a.dtype} values")
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to int64 with a warning
+        out = np.array(a, dtype=dtype)
+    if out.dtype.kind == "i" and a.dtype.kind != "i" and np.any(out != a):
+        raise ValueError(f"{a[out != a][0].item()!r} is not an {out.dtype} value")
+    out.setflags(write=False)
+    return out
 
 
 def _observed(values: np.ndarray) -> np.ndarray:
@@ -137,10 +141,6 @@ class TallyTable:
         if np.any(exact < 0) or np.any(censored < 0) or np.any(exact + censored < 1):
             raise ValueError("each tally row needs nonnegative counts summing to >= 1")
         object.__setattr__(self, "at_or_below", _frozen(np.cumsum(exact + censored), np.int64))
-
-    @property
-    def n(self) -> int:
-        return int(self.at_or_below[-1])
 
     def jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The rows where an estimate can jump: values with an exact count >= 1.

@@ -31,6 +31,12 @@ from .data import TallyTable, _frozen, _observed
 
 LeftoverPolicy = Literal["at-first-exact", "at-zero"]
 
+# Each product estimator's factor at a jump, from its exact count d, tied
+# censored count q and at-or-below count y, count arrays of any shape. The
+# study engine (``simulation._ks_rows``) builds its factors from this too.
+_FACTORS = {"product-limit": lambda d, q, y: 1.0 - d / y,
+            "rhr-mle": lambda d, q, y: 1.0 - d / (y - q)}
+
 
 @dataclass(frozen=True, eq=False)
 class StepCdf:
@@ -116,8 +122,8 @@ def product_limit_cdf(table: TallyTable) -> StepCdf:
     nothing below) reaches only the region below the first jump, where the
     estimate itself is 0; that 0·inf case is reported as NaN ("unstable").
     """
-    values, exact, _, at_or_below = table.jumps()
-    levels, lower = _tail_products(1.0 - exact / at_or_below)
+    values, exact, censored, at_or_below = table.jumps()
+    levels, lower = _tail_products(_FACTORS["product-limit"](exact, censored, at_or_below))
     with np.errstate(divide="ignore"):
         tail, total = _tail_products(exact / (at_or_below * (at_or_below - exact)), np.add)
     with np.errstate(invalid="ignore"):
@@ -145,7 +151,7 @@ def rhr_mle_cdf(table: TallyTable) -> StepCdf:
     there is defined as 0 (the estimator is degenerate at the bottom).
     """
     values, exact, censored, at_or_below = table.jumps()
-    levels, lower = _tail_products(1.0 - exact / (at_or_below - censored))
+    levels, lower = _tail_products(_FACTORS["rhr-mle"](exact, censored, at_or_below))
     prev_cum = np.concatenate(([0], at_or_below[:-1]))
     with np.errstate(divide="ignore"):
         tail, _ = _tail_products(exact / (prev_cum * (at_or_below - censored)), np.add)

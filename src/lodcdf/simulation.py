@@ -28,11 +28,10 @@ bits of each word, and a limit-of-detection index is Lemire's bounded
 draw on a word's 32-bit halves; the rare row whose bounded draw would be
 rejected and redrawn is drawn through ``substream`` itself. The engine
 then transforms and censors the whole chunk at once, and computes both
-estimators and their distances row-wise (``_ks_rows``). It shares two steps
-with ``tally`` and the estimators: ``data._runs`` sorts every row and
-counts its runs, and one ``estimators._tail_products`` call takes both
-estimators' suffix products. The factors 1 - d/y and 1 - d/(y - q) it
-writes itself, as ``product_limit_cdf`` and ``rhr_mle_cdf`` do. Its
+estimators and their distances row-wise (``_ks_rows``). It shares three
+steps with ``tally`` and the estimators: ``data._runs`` sorts every row and
+counts its runs, ``estimators._FACTORS`` gives both estimators' factors,
+and one ``estimators._tail_products`` call takes their suffix products. Its
 results are bit-identical to fitting each replication on its own, and
 identical across runs. Every study number is checked once, on entry, by
 ``_integer`` or ``_real``. scipy is imported only inside ``_lognormal`` and
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import InvalidParameterError, StudyDegenerateError, _LOW32, _frozen, _mulhilo, _runs
-from .estimators import _tail_products
+from .estimators import _FACTORS, _tail_products
 
 # Purpose slots inside a replication's key space.
 LIFETIME_DRAWS = 0
@@ -102,28 +101,21 @@ def _real(name: str, value, positive: bool = False) -> float:
     return real
 
 
-def _key(seed: int, replication: int, purpose: int, grid_point: int) -> int:
-    """The 128-bit Philox key of one (replication, purpose) cell.
+def substream(seed: int, replication: int, purpose: int, grid_point: int = 0) -> np.random.Generator:
+    """Independent generator for one (replication, purpose) cell of a study.
 
-    The key packs (seed, grid_point, replication, purpose) into disjoint
-    bit ranges, so distinct cells can never collide: the seed is the high
-    64-bit word and (grid_point << 48) | (replication << 4) | purpose the
-    low one.
+    Any cell can be regenerated in isolation: this is the generator whose
+    draws the study engine uses for that cell. Its 128-bit Philox key packs
+    (seed, grid_point, replication, purpose) into disjoint bit ranges, so
+    distinct cells can never collide: the seed is the high 64-bit word and
+    (grid_point << 48) | (replication << 4) | purpose the low one.
     """
     seed = _integer("seed", seed, 0, _MAX_SEED - 1)
     replication = _integer("replication", replication, 0, _MAX_REPLICATION - 1)
     purpose = _integer("purpose", purpose, 0, 15)
     grid_point = _integer("grid point", grid_point, 0, _MAX_GRID_POINT - 1)
-    return (seed << 64) | (grid_point << 48) | (replication << 4) | purpose
-
-
-def substream(seed: int, replication: int, purpose: int, grid_point: int = 0) -> np.random.Generator:
-    """Independent generator for one (replication, purpose) cell of a study.
-
-    Any cell can be regenerated in isolation: this is the generator whose
-    draws the study engine uses for that cell.
-    """
-    return np.random.Generator(np.random.Philox(key=_key(seed, replication, purpose, grid_point)))
+    key = (seed << 64) | (grid_point << 48) | (replication << 4) | purpose
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _lognormal(mu: float, sigma: float, k: np.ndarray) -> np.ndarray:
@@ -225,10 +217,10 @@ def _philox_words(seed: int, grid_point: int, reps: range, purposes: tuple[int, 
     Element [p, r] of the (len(purposes), len(reps), words) uint64 result
     equals ``substream(seed, reps[r], purposes[p], grid_point)
     .bit_generator.random_raw(words)``: numpy's Philox4x64-10 with key
-    words (low, high) from ``_key``, counters 1, 2, ... in word 0, and each
-    block's four outputs in buffer order. Keys are checked by the caller:
-    ``SimConfig`` bounds the seed and the replications, ``run_study`` the
-    grid point.
+    words (low, high) as ``substream`` packs them, counters 1, 2, ... in
+    word 0, and each block's four outputs in buffer order. Keys are
+    checked by the caller: ``SimConfig`` bounds the seed and the
+    replications, ``run_study`` the grid point.
     """
     blocks = -(-words // 4)
     # Axes (purpose, replication, block): the early rounds broadcast over
@@ -279,9 +271,10 @@ def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
     gap |F(t) - F̂(t)| over the jumps of its ``tally`` and
     ``product_limit_cdf``/``rhr_mle_cdf`` fit, bit for bit: ``data._runs``
     counts the runs as for ``tally``, the jumps are the runs with an exact
-    count >= 1 as in ``TallyTable.jumps()``, and ``_tail_products`` runs
-    over the same factors in the same order, with factors of exactly 1.0
-    at positions that are not jumps. A row without a detected value has no
+    count >= 1 as in ``TallyTable.jumps()``, each plane takes its factors
+    from the fit's own ``_FACTORS`` entry, and ``_tail_products`` runs over
+    them in the same order, with factors of exactly 1.0 at positions that
+    are not jumps. A row without a detected value has no
     jump (has_jump False, distances 0).
     """
     from scipy.special import ndtr
@@ -292,8 +285,8 @@ def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
     ends, v, d, q = ends[jump], v[jump], d[jump], (total - d)[jump]
     y = ends % n + 1
     factors = np.ones((2, rows * n))
-    factors[0, ends] = 1.0 - d / y
-    factors[1, ends] = 1.0 - d / (y - q)
+    for plane, method in zip(factors, ("product-limit", "rhr-mle")):
+        plane[ends] = _FACTORS[method](d, q, y)
     levels, _ = _tail_products(factors.reshape(2, rows, n))
     with np.errstate(divide="ignore"):
         truth = ndtr((np.log(v) - mu) / sigma)

@@ -5,7 +5,9 @@ tally of (value, detected) pairs, deliberately sharing no code with the
 package: an independent route to the same numbers. Values are converted
 to Fraction exactly (binary floats are rationals), so the only
 approximation anywhere is the final comparison against the float
-implementation.
+implementation. Among them, `atom_masses`, `likelihood`, `scores` and
+`em_step` work on the nonparametric likelihood itself: a fit's masses,
+under either reading of a nondetect at L (X < L or X <= L).
 
 The Kaplan-Meier oracles at the end reach the product-limit estimate
 through right-censored survival analysis on the negated sample (the
@@ -92,12 +94,20 @@ def _suffix_products(rows, factor) -> tuple[list[Fraction], Fraction]:
     return levels, acc
 
 
+def pl_factor(row: OracleRow) -> Fraction:
+    return 1 - Fraction(row.d, row.y)
+
+
+def rhr_factor(row: OracleRow) -> Fraction:
+    return 1 - Fraction(row.d, row.y - row.q)
+
+
 def pl_cdf(pairs) -> tuple[list[tuple[float, Fraction]], Fraction]:
     """Product-limit CDF over all rows: factors 1 - d/y (censored-only rows
     contribute a factor of exactly 1, so the all-rows and exact-rows forms
     agree identically)."""
     rows = tally_pairs(pairs)
-    levels, lower = _suffix_products(rows, lambda r: 1 - Fraction(r.d, r.y))
+    levels, lower = _suffix_products(rows, pl_factor)
     exact = [r for r in rows if r.d >= 1]
     return [(r.value, lv) for r, lv in zip(exact, levels)], lower
 
@@ -105,7 +115,7 @@ def pl_cdf(pairs) -> tuple[list[tuple[float, Fraction]], Fraction]:
 def rhr_cdf(pairs) -> tuple[list[tuple[float, Fraction]], Fraction]:
     """Reversed-hazard-rate MLE CDF: factors 1 - d/(y - q)."""
     rows = tally_pairs(pairs)
-    levels, lower = _suffix_products(rows, lambda r: 1 - Fraction(r.d, r.y - r.q))
+    levels, lower = _suffix_products(rows, rhr_factor)
     exact = [r for r in rows if r.d >= 1]
     return [(r.value, lv) for r, lv in zip(exact, levels)], lower
 
@@ -210,6 +220,66 @@ def curvature(row: OracleRow) -> Fraction:
     return -Fraction(a**3, row.d * (row.y - row.d - row.q))
 
 
+def atom_masses(pairs, factor) -> list[Fraction]:
+    """A product fit's masses, exact arithmetic: first the mass below the
+    first jump, then the jump at each exact value, ascending, from the
+    levels `_suffix_products` builds with `factor`."""
+    levels, lower = _suffix_products(tally_pairs(pairs), factor)
+    return [lower] + [hi - lo for lo, hi in zip([lower] + levels, levels)]
+
+
+def _observed_atoms(pairs, nondetect: str) -> list[tuple[int, range]]:
+    """Each distinct observation as (count, the atoms of `atom_masses` it
+    allows): an exact value its own atom; a nondetect at L the atom below
+    the first jump and the exact values below L (``nondetect="X<L"``) or at
+    or below L (``"X<=L"``)."""
+    if nondetect not in ("X<L", "X<=L"):
+        raise ValueError(f"unknown nondetect reading {nondetect!r}")
+    rows = tally_pairs(pairs)
+    exact = [r.value for r in rows if r.d >= 1]
+    out = []
+    for row in rows:
+        if row.d:
+            atom = exact.index(row.value) + 1
+            out.append((row.d, range(atom, atom + 1)))
+        if row.q:
+            allowed = sum(x < row.value or (nondetect == "X<=L" and x == row.value) for x in exact)
+            out.append((row.q, range(allowed + 1)))
+    return out
+
+
+def likelihood(pairs, masses: list[Fraction], nondetect: str) -> Fraction:
+    """The nonparametric likelihood of `masses`: an exact observation
+    contributes its atom's mass, a nondetect at L F(L-) under "X<L" and
+    F(L) under "X<=L"."""
+    out = Fraction(1)
+    for count, atoms in _observed_atoms(pairs, nondetect):
+        out *= sum(masses[j] for j in atoms) ** count
+    return out
+
+
+def scores(pairs, masses: list[Fraction], nondetect: str) -> list[Fraction]:
+    """(1/n) d log L / d p_j at each atom j: the mean over the observations
+    of 1/P(allowed atoms) over those that allow j. At a nonparametric MLE
+    it is 1 at every atom with mass and at most 1 at every atom without
+    (the KKT conditions). ZeroDivisionError when an observation's atoms
+    hold no mass, that is, when the likelihood is 0."""
+    n = len(pairs)
+    out = [Fraction(0)] * len(masses)
+    for count, atoms in _observed_atoms(pairs, nondetect):
+        share = Fraction(count, n) / sum(masses[j] for j in atoms)
+        for j in atoms:
+            out[j] += share
+    return out
+
+
+def em_step(pairs, masses: list[Fraction], nondetect: str) -> list[Fraction]:
+    """One EM self-consistency step (Efron 1967; Turnbull 1976): each
+    observation spreads itself over the atoms it allows in proportion to
+    their masses, and an atom's new mass is its mean share, p_j * score_j."""
+    return [p * g for p, g in zip(masses, scores(pairs, masses, nondetect))]
+
+
 def km_survival(times: np.ndarray, events: np.ndarray) -> SimpleNamespace:
     """Kaplan-Meier survival from right-censored data, as ``.times`` (the
     distinct event times) and ``.survival`` (the curve after each).
@@ -295,7 +365,7 @@ def rhr_table(table: TallyTable) -> RhrTable:
 def ecdf(dataset: Dataset) -> StepCdf:
     """Empirical CDF of the values, censoring flags ignored."""
     table = tally(dataset)
-    return StepCdf(table.values, table.at_or_below / table.n, 0.0, "ecdf")
+    return StepCdf(table.values, table.at_or_below / table.at_or_below[-1], 0.0, "ecdf")
 
 
 def sample_lognormal(mu: float, sigma: float, n: int, rng: np.random.Generator) -> np.ndarray:

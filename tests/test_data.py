@@ -353,7 +353,7 @@ def test_tally_hand_counts():
     assert t.exact.tolist() == [1, 1, 1, 1]
     assert t.censored.tolist() == [1, 0, 1, 0]
     assert t.at_or_below.tolist() == [2, 3, 5, 6]
-    assert t.values.size == 4 and t.n == 6
+    assert t.values.size == 4 and t.at_or_below[-1] == 6
 
 
 def test_tally_table_validation():
@@ -367,10 +367,16 @@ def test_tally_table_validation():
         (([np.nan], [1], [0]), r"finite and >= 0, got nan"),
         (([-1.0], [1], [0]), r"finite and >= 0, got -1.0"),
         (([1.0, np.inf], [1, 1], [0, 0]), r"finite and >= 0, got inf"),
+        # columns hold numbers, and a count is kept only if the int64 cast leaves it unchanged
+        ((["1.0"], [1], [0]), "must be numbers"),
+        (([1.0, 2.0], [1.5, 0.9], [0, 1]), r"1\.5 is not an int64 value"),
+        (([1.0], [1], [np.nan]), "nan is not an int64 value"),
+        (([1.0], [1e30], [0]), r"1e\+30 is not an int64 value"),
     ]
     for arrays, message in bad:
         with pytest.raises(ValueError, match=message):
             TallyTable(*arrays)
+    assert TallyTable([1.0], [3.0], [np.uint8(0)]).exact.tolist() == [3]  # integral floats are counts
 
 
 def test_exact_tally_drops_censored_only_rows():

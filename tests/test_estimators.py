@@ -39,6 +39,15 @@ def pair_lists(draw, max_n=60):
     return list(zip(values, flags))
 
 
+@st.composite
+def tie_free_pair_lists(draw, max_n=40):
+    """Observation lists with all values distinct, >=1 detection."""
+    values = [v / 2 for v in draw(st.lists(st.integers(1, 400), min_size=2, max_size=max_n, unique=True))]
+    flags = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    flags[draw(st.integers(0, len(values) - 1))] = True
+    return list(zip(values, flags))
+
+
 def fits(pairs):
     table = tally(pairs_dataset(pairs))
     pl = product_limit_cdf(table)
@@ -349,6 +358,42 @@ def test_likelihood_curvature_closed_form(pairs):
         assert math.isclose(second, expected, rel_tol=1e-6)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(pair_lists(max_n=40), tie_free_pair_lists()))
+def test_each_fit_is_the_npmle_under_its_reading(pairs):
+    """Each fit's masses (below the first jump, then one per jump) are a
+    fixed point of one exact EM self-consistency step under its own reading
+    of a nondetect at L, X < L for product-limit and X <= L for RHR-MLE,
+    and at an atom without mass the score is at most 1: the KKT conditions
+    of the nonparametric MLE, in exact arithmetic."""
+    table = tally(pairs_dataset(pairs))
+    for fit, factor, reading in ((product_limit_cdf, oracle.pl_factor, "X<L"),
+                                 (rhr_mle_cdf, oracle.rhr_factor, "X<=L")):
+        masses = oracle.atom_masses(pairs, factor)
+        f = fit(table)
+        fitted = np.diff(f.values, prepend=f.lower_value).tolist()
+        assert all(math.isclose(x, m, rel_tol=0, abs_tol=1e-12)
+                   for x, m in zip([f.lower_value] + fitted, masses, strict=True))
+        assert oracle.em_step(pairs, masses, reading) == masses
+        scores = oracle.scores(pairs, masses, reading)
+        assert all(g <= 1 for g, p in zip(scores, masses) if p == 0)
+
+
+def test_six_obs_npmle_readings_are_not_interchangeable():
+    """Negative control, worked by hand: each fit fails the other reading.
+    Under X <= L the EM step moves product-limit's mass below the first
+    jump from 2/9 to 23/180; under X < L the RHR-MLE, with no mass below
+    1, gives the nondetect at 1 zero likelihood."""
+    pl = oracle.atom_masses(SIX, oracle.pl_factor)
+    rhr = oracle.atom_masses(SIX, oracle.rhr_factor)
+    assert pl[0] == Fraction(2, 9)
+    assert oracle.em_step(SIX, pl, "X<=L")[0] == Fraction(23, 180)
+    assert rhr[0] == 0 and oracle.likelihood(SIX, rhr, "X<=L") > 0
+    assert oracle.likelihood(SIX, rhr, "X<L") == 0
+    with pytest.raises(ZeroDivisionError):
+        oracle.scores(SIX, rhr, "X<L")
+
+
 # ------------------------------------------------------ low-level pieces
 
 
@@ -429,6 +474,8 @@ def test_step_cdf_validation():
     for support, bad in (([-2.0, -1.0], "-2.0"), ([np.nan, 1.0], "nan"), ([1.0, np.inf], "inf")):
         with pytest.raises(ValueError, match=f"finite and >= 0, got {bad}"):
             StepCdf(np.array(support), np.array([0.5, 1.0]), 0.0, "x")
+    with pytest.raises(ValueError, match="must be numbers"):  # text is not a number
+        StepCdf(["1", "2"], [0.5, 1.0], 0.0, "x")
     # a NaN estimate is not in [0, 1]
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         StepCdf(np.array([1.0, 2.0]), np.array([0.5, np.nan]), 0.0, "x")

@@ -320,6 +320,8 @@ def test_study_result_validation():
     cfg = SimConfig(mu=0.0, sigma=1.0, m=2)
     with pytest.raises(ValueError, match="share one length"):
         StudyResult(cfg, [0, 1], [0.1], [0.1, 0.2])
+    with pytest.raises(ValueError, match="must be numbers"):  # text is not a number
+        StudyResult(cfg, [0], ["0.1"], [0.2])
     # indices must be distinct replications in [0, m), ascending
     for indices in ([0, 1, 2], [1, 1], [1, 0], [-1], [2]):
         ks = [0.1] * len(indices)
