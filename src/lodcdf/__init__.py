@@ -19,7 +19,6 @@ from .data import (
     tally,
 )
 from .estimators import (
-    LeftoverPolicy,
     StepCdf,
     crhf_exp_cdf,
     eval_cdf,
@@ -32,7 +31,7 @@ from .simulation import SimConfig, StudyResult, run_study, substream, sweep
 
 __version__ = "0.1.0"
 
-__all__ = ["AllCensoredError", "Dataset", "IngestError", "InvalidParameterError", "LeftoverPolicy",
-           "SimConfig", "StepCdf", "StudyDegenerateError", "StudyResult", "TallyTable",
-           "crhf_exp_cdf", "eval_cdf", "ingest", "mean_from_cdf", "product_limit_cdf",
-           "quantile_from_cdf", "rhr_mle_cdf", "run_study", "substream", "sweep", "tally"]
+__all__ = ["AllCensoredError", "Dataset", "IngestError", "InvalidParameterError", "SimConfig",
+           "StepCdf", "StudyDegenerateError", "StudyResult", "TallyTable", "crhf_exp_cdf",
+           "eval_cdf", "ingest", "mean_from_cdf", "product_limit_cdf", "quantile_from_cdf",
+           "rhr_mle_cdf", "run_study", "substream", "sweep", "tally"]

@@ -5,7 +5,7 @@ Subcommands:
 * ``estimate`` -- fit one or all CDF estimators to a data file and emit the
   step function (optionally evaluated at chosen points) with standard errors;
 * ``compare``  -- product-limit vs RHR-MLE side by side, per-jump ratios,
-  tie flags, and mean estimates under both leftover policies;
+  tie flags, and both means of each fit (``mean_from_cdf``);
 * ``simulate`` -- one Monte Carlo study, JSON output;
 * ``sweep``    -- a parameter sweep of studies, plot-ready CSV output.
 
@@ -371,8 +371,8 @@ def cmd_compare(args: argparse.Namespace) -> list[bytes]:
     _, _, censored, _ = table.jumps()
     columns = {"t": pl.support, "product_limit": pl.values, "rhr_mle": rhr.values,
                "ratio": rhr.values / pl.values, "tie": censored >= 1}
-    means = {policy: (mean_from_cdf(pl, policy), mean_from_cdf(rhr, policy))
-             for policy in ("at-first-exact", "at-zero")}
+    pl_means, rhr_means = mean_from_cdf(pl), mean_from_cdf(rhr)
+    means = {policy: (pl_means[policy], rhr_means[policy]) for policy in pl_means}
     if args.format == "json":
         means_doc = {policy: {"product_limit": a, "rhr_mle": b, "diff": a - b}
                      for policy, (a, b) in means.items()}

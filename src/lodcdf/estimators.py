@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .data import TallyTable, _frozen, _observed
-
-LeftoverPolicy = Literal["at-first-exact", "at-zero"]
 
 # Each product estimator's factor at a jump, from its exact count d, tied
 # censored count q and at-or-below count y, count arrays of any shape. The
@@ -125,7 +122,8 @@ def product_limit_cdf(table: TallyTable) -> StepCdf:
     values, exact, censored, at_or_below = table.jumps()
     levels, lower = _tail_products(_FACTORS["product-limit"](exact, censored, at_or_below))
     with np.errstate(divide="ignore"):
-        tail, total = _tail_products(exact / (at_or_below * (at_or_below - exact)), np.add)
+        tail, total = _tail_products(
+            exact / np.multiply(at_or_below, at_or_below - exact, dtype=np.float64), np.add)
     with np.errstate(invalid="ignore"):
         variances = levels**2 * tail
         lower_variance = float(lower)**2 * float(total)
@@ -154,7 +152,8 @@ def rhr_mle_cdf(table: TallyTable) -> StepCdf:
     levels, lower = _tail_products(_FACTORS["rhr-mle"](exact, censored, at_or_below))
     prev_cum = np.concatenate(([0], at_or_below[:-1]))
     with np.errstate(divide="ignore"):
-        tail, _ = _tail_products(exact / (prev_cum * (at_or_below - censored)), np.add)
+        tail, _ = _tail_products(
+            exact / np.multiply(prev_cum, at_or_below - censored, dtype=np.float64), np.add)
     return StepCdf(values, levels, lower, "rhr-mle", levels**2 * tail, 0.0)
 
 
@@ -191,21 +190,17 @@ def eval_cdf(f: StepCdf, t) -> tuple:
     return float(estimates), None if variances is None else float(variances)
 
 
-def mean_from_cdf(f: StepCdf, leftover_policy: LeftoverPolicy = "at-first-exact") -> float:
-    """Mean of the step distribution.
+def mean_from_cdf(f: StepCdf) -> dict[str, float]:
+    """Both means of the step distribution, keyed "at-first-exact" then "at-zero".
 
-    The mass below the first jump (lower_value) has no observed location;
-    `at-first-exact` stacks it on the first jump value, `at-zero` places it
-    at 0. The two bracket any answer a substitution rule could give. The
-    sum is correctly rounded (``math.fsum``), so no BLAS thread count moves it.
+    The mass below the first jump (lower_value) has no observed location:
+    the first mean stacks it on the first jump value, the second places it
+    at 0, bracketing any substitution rule. One correctly rounded sum
+    (``math.fsum``) serves both, so no BLAS thread count moves them.
     """
-    if leftover_policy not in ("at-first-exact", "at-zero"):
-        raise ValueError(f"unknown leftover policy {leftover_policy!r}")
     masses = np.diff(f.values, prepend=f.lower_value)
-    mean = math.fsum((f.support * masses).tolist())
-    if leftover_policy == "at-first-exact":
-        mean += float(f.support[0]) * f.lower_value
-    return mean
+    at_zero = math.fsum((f.support * masses).tolist())
+    return {"at-first-exact": at_zero + float(f.support[0]) * f.lower_value, "at-zero": at_zero}
 
 
 def quantile_from_cdf(f: StepCdf, p: float) -> float:

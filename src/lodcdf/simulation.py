@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,7 +174,6 @@ class StudyResult:
     indices: np.ndarray
     ks_product_limit: np.ndarray
     ks_rhr_mle: np.ndarray
-    grid_point: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         for name, dtype in (("indices", np.int64), ("ks_product_limit", np.float64),
@@ -338,14 +337,15 @@ def run_study(cfg: SimConfig, *, grid_point: int = 0, jobs: int = 1) -> StudyRes
         raise StudyDegenerateError(
             f"all {cfg.m} replications were fully censored; no estimator is defined"
         )
-    return StudyResult(cfg, np.flatnonzero(kept), kpl[kept], krh[kept], grid_point=grid_point)
+    return StudyResult(cfg, np.flatnonzero(kept), kpl[kept], krh[kept])
 
 
 def sweep(base: SimConfig, param: str, grid, *, jobs: int = 1) -> list[StudyResult]:
     """One study per grid value of ``param`` ("mu" or "sigma"), ascending.
 
-    Each grid position gets its own key space, so studies stay independent
-    and a sweep of length 1 reproduces run_study on that point exactly.
+    The i-th result is run_study at grid point i of the sorted grid. Each
+    grid point gets its own key space, so studies stay independent and a
+    sweep of length 1 reproduces run_study on that point exactly.
     """
     if param not in ("mu", "sigma"):
         raise InvalidParameterError(f"sweep parameter must be 'mu' or 'sigma', got {param!r}")

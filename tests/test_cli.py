@@ -22,7 +22,7 @@ from lodcdf import (
     rhr_mle_cdf,
     tally,
 )
-from lodcdf import cli
+from lodcdf import cli, estimators
 from lodcdf.cli import METHODS, main
 
 from _oracles import fmt_cell
@@ -590,6 +590,19 @@ def test_compare_json_means(capsys):
     assert math.isclose(doc["means"]["at-zero"]["product_limit"], 11 / 6,
                         rel_tol=1e-12)
     assert [r["tie"] for r in doc["rows"]] == [True, False, True, False]
+
+
+def test_compare_sums_each_fit_once(capsys, monkeypatch):
+    """Both means of a fit come from one correctly rounded sum of its jumps."""
+    calls = []
+
+    def counted(terms, fsum=estimators.math.fsum):
+        calls.append(len(terms))
+        return fsum(terms)
+    monkeypatch.setattr(estimators.math, "fsum", counted)
+    code, _, _ = run(capsys, "compare", str(SIX))
+    assert code == 0
+    assert calls == [4, 4]
 
 
 # ------------------------------------------------------- frozen digests

@@ -94,6 +94,19 @@ def test_six_obs_variances():
     assert rhr.lower_variance == 0.0
 
 
+@pytest.mark.parametrize("fit", [product_limit_cdf, rhr_mle_cdf])
+def test_variances_scale_past_int64_products(fit):
+    """Scaling every count by s divides each variance by s, also once the
+    count products in the variance denominators pass 2**63."""
+    def table(s):
+        return TallyTable([1.0, 2.0, 3.0], [s, 2 * s, 3 * s], [s, 0, s])
+    unit = fit(table(1))
+    for s in (2 * 10**9, 4 * 10**9, 10**12):
+        scaled = fit(table(s))
+        assert np.allclose(scaled.variances * s, unit.variances, rtol=1e-9, atol=0)
+        assert math.isclose(scaled.lower_variance * s, unit.lower_variance, rel_tol=1e-9)
+
+
 def test_six_obs_rates():
     table = tally(pairs_dataset(SIX))
     rt = rhr_table(table)
@@ -104,10 +117,10 @@ def test_six_obs_rates():
 
 def test_six_obs_means():
     table, pl, _, _ = fits(SIX)
-    assert close(mean_from_cdf(pl), Fraction(37, 18))
-    assert close(mean_from_cdf(pl, "at-zero"), Fraction(11, 6))
-    with pytest.raises(ValueError):
-        mean_from_cdf(pl, "elsewhere")
+    means = mean_from_cdf(pl)
+    assert list(means) == ["at-first-exact", "at-zero"]
+    assert close(means["at-first-exact"], Fraction(37, 18))
+    assert close(means["at-zero"], Fraction(11, 6))
 
 
 def test_six_obs_quantiles():
@@ -190,8 +203,8 @@ def test_matches_exact_arithmetic(pairs):
     else:
         assert close(pl.lower_variance, low)
 
-    for policy in ("at-first-exact", "at-zero"):
-        assert close(mean_from_cdf(pl, policy), oracle.mean(pairs, policy))
+    for policy, mean in mean_from_cdf(pl).items():
+        assert close(mean, oracle.mean(pairs, policy))
 
     rt = rhr_table(table)
     assert all(close(x, f) for x, (_, f) in zip(rt.rates, oracle.rhr_rates(pairs)))
@@ -285,8 +298,8 @@ def test_all_rows_form_equals_exact_rows_form(pairs):
 @given(pair_lists(max_n=40))
 def test_mean_policies_bracket(pairs):
     _, pl, _, _ = fits(pairs)
-    lo = mean_from_cdf(pl, "at-zero")
-    hi = mean_from_cdf(pl, "at-first-exact")
+    means = mean_from_cdf(pl)
+    lo, hi = means["at-zero"], means["at-first-exact"]
     assert lo <= hi + 1e-12
     assert hi <= float(pl.support[-1]) + 1e-12
     assert lo >= 0

@@ -12,10 +12,10 @@ from lodcdf import data, simulation
 
 from conftest import FIXTURES
 
-PUBLIC = ["AllCensoredError", "Dataset", "IngestError", "InvalidParameterError", "LeftoverPolicy",
-          "SimConfig", "StepCdf", "StudyDegenerateError", "StudyResult", "TallyTable",
-          "crhf_exp_cdf", "eval_cdf", "ingest", "mean_from_cdf", "product_limit_cdf",
-          "quantile_from_cdf", "rhr_mle_cdf", "run_study", "substream", "sweep", "tally"]
+PUBLIC = ["AllCensoredError", "Dataset", "IngestError", "InvalidParameterError", "SimConfig",
+          "StepCdf", "StudyDegenerateError", "StudyResult", "TallyTable", "crhf_exp_cdf",
+          "eval_cdf", "ingest", "mean_from_cdf", "product_limit_cdf", "quantile_from_cdf",
+          "rhr_mle_cdf", "run_study", "substream", "sweep", "tally"]
 STUDY_NAMES = ["SimConfig", "StudyResult", "run_study", "substream", "sweep"]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,12 +72,18 @@ def test_substream_validates_ranges():
             run_study(SimConfig(mu=0.0, sigma=1.0, n=5, m=3), grid_point=grid_point)
 
 
-def test_run_study_stores_grid_point_as_int():
+def same_pairs(a: StudyResult, b: StudyResult) -> bool:
+    """Whether two studies kept the same replications with bit-identical distances."""
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("indices", "ks_product_limit", "ks_rhr_mle"))
+
+
+def test_run_study_takes_integral_grid_points():
     cfg = SimConfig(mu=0.0, sigma=1.0, n=5, m=3)
-    for grid_point, expected in ((2.0, 2), (np.int64(2), 2)):
-        result = run_study(cfg, grid_point=grid_point)
-        assert type(result.grid_point) is int
-        assert result.grid_point == expected
+    two = run_study(cfg, grid_point=2)
+    for grid_point in (2.0, np.int64(2)):
+        assert same_pairs(run_study(cfg, grid_point=grid_point), two)
+    assert not same_pairs(run_study(cfg, grid_point=0), two)
 
 
 # ---------------------------------------------------------------- samplers
@@ -296,7 +303,8 @@ def test_sweep_orders_and_isolates_points():
     cfg = SimConfig(mu=0.0, sigma=1.0, n=10, m=6, seed=3)
     results = sweep(cfg, "sigma", [2.0, 0.5, 1.0])
     assert [r.config.sigma for r in results] == [0.5, 1.0, 2.0]
-    assert [r.grid_point for r in results] == [0, 1, 2]
+    for i, (r, v) in enumerate(zip(results, [0.5, 1.0, 2.0])):
+        assert same_pairs(r, run_study(replace(cfg, sigma=v), grid_point=i))
     # a one-point sweep reproduces run_study exactly
     single = sweep(cfg, "sigma", [1.0])[0]
     direct = run_study(cfg)
