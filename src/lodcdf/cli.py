@@ -38,6 +38,8 @@ from .data import (
     IngestError,
     InvalidParameterError,
     StudyDegenerateError,
+    _integer,
+    _real,
     ingest,
     tally,
 )
@@ -49,7 +51,7 @@ from .estimators import (
     product_limit_cdf,
     rhr_mle_cdf,
 )
-from .simulation import _MAX_GRID_POINT, SimConfig, _integer, _real, run_study, sweep
+from .simulation import _MAX_GRID_POINT, SimConfig, run_study, sweep
 
 # Each method's fit. The lambdas look the function up on this module at call
 # time, so a wrapper set on ``lodcdf.cli`` sees every fit.
@@ -235,24 +237,20 @@ def _json_rows(columns: dict[str, np.ndarray | None]) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*values)]
 
 
-def _parse_floats(text: str, *, flag: str) -> list[float]:
+def _parsed(convert, text: str, message: str):
+    """``convert(text)``, or InvalidParameterError(message) if it raises ValueError."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        return convert(text)
     except ValueError:
-        raise InvalidParameterError(f"{flag} expects comma-separated numbers, got {text!r}")
+        raise InvalidParameterError(message) from None
+
+
+def _parse_floats(text: str, *, flag: str) -> list[float]:
+    message = f"{flag} expects comma-separated numbers, got {text!r}"
+    values = [_parsed(float, part, message) for part in text.split(",") if part.strip()]
     if not values:
         raise InvalidParameterError(f"{flag} expects at least one number")
     return [_real(flag, v) for v in values]
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("LODCDF_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"LODCDF_SEED must be an integer, got {raw!r}")
 
 
 def _emit(parts: list[bytes], output: str | None) -> None:
@@ -275,9 +273,9 @@ def _emit(parts: list[bytes], output: str | None) -> None:
         with open(target, "wb") as fh:
             fh.writelines(parts)
         return
-    # Created exclusively: a file already at the temporary name is neither
-    # written nor removed.
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    # Created exclusively, under a random name that a killed run's leftover
+    # cannot block: a file already at that name is neither written nor removed.
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "xb")
     except OSError as exc:
@@ -395,14 +393,11 @@ def _config_dict(cfg: SimConfig) -> dict:
 
 def _sim_config(args: argparse.Namespace, **params: float) -> SimConfig:
     """SimConfig from mu, sigma, mu_c, sigma_c and the shared study flags."""
-    return SimConfig(
-        **params,
-        scheme=args.scheme,
-        lods=tuple(_parse_floats(args.lods, flag="--lods")),
-        n=args.n,
-        m=args.m,
-        seed=args.seed if args.seed is not None else _default_seed(),
-    )
+    lods = tuple(_parse_floats(args.lods, flag="--lods"))  # read before LODCDF_SEED
+    raw = os.environ.get("LODCDF_SEED", "0")
+    seed = args.seed if args.seed is not None else _parsed(
+        int, raw, f"LODCDF_SEED must be an integer, got {raw!r}")
+    return SimConfig(**params, scheme=args.scheme, lods=lods, n=args.n, m=args.m, seed=seed)
 
 
 def cmd_simulate(args: argparse.Namespace) -> list[bytes]:
@@ -428,17 +423,13 @@ def cmd_simulate(args: argparse.Namespace) -> list[bytes]:
 
 def _parse_grid(text: str) -> tuple[str, np.ndarray]:
     """Parse NAME=START:STOP:COUNT into (name, inclusive grid)."""
-    if "=" not in text:
-        raise InvalidParameterError(f"--grid expects NAME=START:STOP:COUNT, got {text!r}")
     name, _, spec = text.partition("=")
     name = name.strip()
-    parts = spec.split(":")
+    parts = spec.split(":")  # [""] when text has no "="
     if len(parts) != 3:
         raise InvalidParameterError(f"--grid expects NAME=START:STOP:COUNT, got {text!r}")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise InvalidParameterError(f"--grid expects numeric START:STOP and integer COUNT, got {text!r}")
+    message = f"--grid expects numeric START:STOP and integer COUNT, got {text!r}"
+    start, stop, count = (_parsed(kind, part, message) for kind, part in zip((float, float, int), parts))
     # np.linspace takes STOP - START first, so it too must be finite.
     for what, value in (("START", start), ("STOP", stop), ("STOP - START", stop - start)):
         _real(f"--grid {what}", value)
@@ -456,10 +447,7 @@ def cmd_sweep(args: argparse.Namespace) -> list[bytes]:
             raise InvalidParameterError(f"--fix accepts mu, sigma, mu_c, sigma_c; got {name!r}")
         if name in fixed:
             raise InvalidParameterError(f"--fix sets {name} more than once")
-        try:
-            fixed[name] = float(raw)
-        except ValueError:
-            raise InvalidParameterError(f"--fix expects a numeric value, got {item!r}")
+        fixed[name] = _parsed(float, raw, f"--fix expects a numeric value, got {item!r}")
     param, grid = _parse_grid(args.grid)
     if param in fixed:
         raise InvalidParameterError(f"{param} cannot be both fixed and swept")

@@ -19,6 +19,7 @@ one division when its integer is below 2**53 (Clinger 1990), else by a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
@@ -51,6 +52,7 @@ class StudyDegenerateError(RuntimeError):
 _ALL_CENSORED = "every value is censored; no distribution estimate can be proposed"
 
 
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A sample in input order: values and detection flags, two read-only arrays.
 
@@ -62,10 +64,11 @@ class Dataset:
     >= 0, and at least one must be detected.
     """
 
-    __slots__ = ("_values", "_detected")
+    values: np.ndarray    # float64
+    detected: np.ndarray  # bool
 
-    def __init__(self, values: np.ndarray, detected: np.ndarray):
-        values, detected = np.asarray(values), np.asarray(detected)
+    def __post_init__(self):
+        values, detected = np.asarray(self.values), np.asarray(self.detected)
         if values.ndim != 1 or values.shape != detected.shape:
             raise ValueError("dataset values and flags must be 1-D arrays of equal length")
         if detected.dtype.kind != "b":
@@ -74,21 +77,14 @@ class Dataset:
                 raise ValueError(f"detection flag must be 0 or 1, got {detected[odd][0].item()!r}")
         if not values.size:
             raise ValueError("dataset needs at least one observation")
-        values = _observed(_frozen(values, np.float64))
+        object.__setattr__(self, "values", _observed(_frozen(values, np.float64)))
         if not detected.any():
             raise AllCensoredError(_ALL_CENSORED)
-        self._values = values
-        self._detected = _frozen(detected, bool)
+        object.__setattr__(self, "detected", _frozen(detected, bool))
 
     @property
     def n(self) -> int:
-        return self._values.size
-
-    def values(self) -> np.ndarray:
-        return self._values
-
-    def detected(self) -> np.ndarray:
-        return self._detected
+        return self.values.size
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -112,6 +108,34 @@ def _observed(values: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"observation value must be finite and >= 0, got {float(values[bad][0])!r}")
     return values
+
+
+def _integer(name: str, value, lo: int, hi: float) -> int:
+    """``value`` as an int in [lo, hi], else InvalidParameterError naming ``name``. Refuses
+    bools, non-numbers, NaN, inf and fractions; the range is tested before ``float()``."""
+    problem = "an integer"
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = value.item() if isinstance(value, np.generic) else value  # compared without numpy casts
+        if value < lo:
+            problem = f"at least {lo}"
+        elif value > hi:  # a power of two reads 2**k
+            problem = f"at most {hi if hi & (hi - 1) else f'2**{hi.bit_length() - 1}'}"
+        elif isinstance(value, numbers.Integral) or float(value).is_integer():  # NaN is not
+            return int(value)
+    raise InvalidParameterError(f"{name} must be {problem}, got {value!r}")
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float, above 0 when ``positive``, else InvalidParameterError
+    naming ``name``. Refuses bools, non-numbers and ints beyond the float range."""
+    value = value.item() if isinstance(value, np.generic) else value  # named without numpy's repr
+    try:
+        real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or fraction beyond the float range
+        real = math.inf
+    if not (math.isfinite(real) and (real > 0 or not positive)):
+        raise InvalidParameterError(f"{name} must be a {'positive ' * positive}finite number, got {value!r}")
+    return real
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,14 +190,13 @@ _HEADER = ("value", "detected")
 _BLOCK_CHARS = 1 << 17
 
 
-def _read(source: str | Path | IO[str]) -> str:
-    """The whole text without one leading byte-order mark. A file is decoded
-    as UTF-8 with its newlines translated as a text-mode file's are."""
-    if not isinstance(source, (str, Path)):
-        text = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
+def _read(source: str | Path | IO[str] | IO[bytes]) -> str:
+    """The whole text without one leading byte-order mark. The bytes of a
+    file or a binary stream are decoded as UTF-8 with their newlines
+    translated as a text-mode file's are."""
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    text = data
+    if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -361,9 +384,10 @@ def _scan(lines: list[str], first: int, no_rows: bool) -> tuple[np.ndarray, np.n
     return np.array(values, dtype=np.float64), np.array(flags, dtype=bool)
 
 
-def ingest(source: str | Path | IO[str]) -> Dataset:
+def ingest(source: str | Path | IO[str] | IO[bytes]) -> Dataset:
     """Read observations from CSV text: ``value,detected`` with detected in {0,1}.
 
+    ``source`` is a path, a text stream or a binary stream of UTF-8 bytes.
     The header line ``value,detected`` is optional; ``#`` lines and blank
     lines are skipped. Each value equals ``float()`` of its text. Blocks of
     plain rows are decoded in numpy (``_fast``), any other block line by
@@ -425,5 +449,5 @@ def _runs(values: np.ndarray, detected: np.ndarray
 
 def tally(dataset: Dataset) -> TallyTable:
     """Group a dataset by distinct value into ascending count rows."""
-    _, value, exact, total = _runs(dataset.values(), dataset.detected())
+    _, value, exact, total = _runs(dataset.values, dataset.detected)
     return TallyTable(value, exact, total - exact)

@@ -34,19 +34,19 @@ counts its runs, ``estimators._FACTORS`` gives both estimators' factors,
 and one ``estimators._tail_products`` call takes their suffix products. Its
 results are bit-identical to fitting each replication on its own, and
 identical across runs. Every study number is checked once, on entry, by
-``_integer`` or ``_real``. scipy is imported only inside ``_lognormal`` and
-``_ks_rows``, so importing this module loads none.
+``data._integer`` or ``data._real``. scipy is imported only inside
+``_lognormal`` and ``_ks_rows``, so importing this module loads none.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import InvalidParameterError, StudyDegenerateError, _LOW32, _frozen, _mulhilo, _runs
+from .data import (InvalidParameterError, StudyDegenerateError, _LOW32, _frozen, _integer,
+                   _mulhilo, _real, _runs)
 from .estimators import _FACTORS, _tail_products
 
 # Purpose slots inside a replication's key space.
@@ -71,34 +71,6 @@ _PHILOX_M0 = 0xD2E7470EE14C6C93
 _PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_BUMP0 = 0x9E3779B97F4A7C15
 _PHILOX_BUMP1 = 0xBB67AE8584CAA73B
-
-
-def _integer(name: str, value, lo: int, hi: float) -> int:
-    """``value`` as an int in [lo, hi], else InvalidParameterError naming ``name``. Refuses
-    bools, non-numbers, NaN, inf and fractions; the range is tested before ``float()``."""
-    problem = "an integer"
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        value = value.item() if isinstance(value, np.generic) else value  # compared without numpy casts
-        if value < lo:
-            problem = f"at least {lo}"
-        elif value > hi:  # a power of two reads 2**k
-            problem = f"at most {hi if hi & (hi - 1) else f'2**{hi.bit_length() - 1}'}"
-        elif isinstance(value, numbers.Integral) or float(value).is_integer():  # NaN is not
-            return int(value)
-    raise InvalidParameterError(f"{name} must be {problem}, got {value!r}")
-
-
-def _real(name: str, value, positive: bool = False) -> float:
-    """``value`` as a finite float, above 0 when ``positive``, else InvalidParameterError
-    naming ``name``. Refuses bools, non-numbers and ints beyond the float range."""
-    value = value.item() if isinstance(value, np.generic) else value  # named without numpy's repr
-    try:
-        real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:  # an int or fraction beyond the float range
-        real = math.inf
-    if not (math.isfinite(real) and (real > 0 or not positive)):
-        raise InvalidParameterError(f"{name} must be a {'positive ' * positive}finite number, got {value!r}")
-    return real
 
 
 def substream(seed: int, replication: int, purpose: int, grid_point: int = 0) -> np.random.Generator:
@@ -162,7 +134,9 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class StudyResult:
-    """Per-replication KS distances for both estimators.
+    """Per-replication distances for both estimators: the largest |F - F̂| at the
+    right limits of each fit's jumps. That is not the KS statistic, the supremum
+    over all t, which also takes the left limits; the fields keep their ``ks_`` names.
 
     ``indices[i]`` is the replication that produced the i-th pair, so
     pairs stay keyed by replication regardless of execution order; the
@@ -264,10 +238,11 @@ def _bounded_rows(raw: np.ndarray, k: int, n: int, seed: int, grid_point: int,
 
 def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both estimators' KS distances for each row of a (rows, n) sample.
+    """Both estimators' distances for each row of a (rows, n) sample.
 
     Returns (product-limit, RHR-MLE, has_jump). Each row gets the largest
-    gap |F(t) - F̂(t)| over the jumps of its ``tally`` and
+    gap |F(t) - F̂(t)| at the right limits (not the KS supremum, which also
+    takes the left limits) of the jumps of its ``tally`` and
     ``product_limit_cdf``/``rhr_mle_cdf`` fit, bit for bit: ``data._runs``
     counts the runs as for ``tally``, the jumps are the runs with an exact
     count >= 1 as in ``TallyTable.jumps()``, each plane takes its factors
@@ -297,7 +272,7 @@ def _ks_rows(values: np.ndarray, detected: np.ndarray, mu: float, sigma: float
 
 def _chunk(cfg: SimConfig, grid_point: int, reps: range
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replications ``reps`` of a study as rows: (KS product-limit, KS RHR-MLE, kept)."""
+    """Replications ``reps`` of a study as rows: (product-limit distance, RHR-MLE distance, kept)."""
     lifetime_raw, censoring_raw = _philox_words(
         cfg.seed, grid_point, reps, (LIFETIME_DRAWS, CENSORING_DRAWS), cfg.n)
     # integers(0, 2**53) is the top 53 bits of a word: Lemire's method never

@@ -309,7 +309,7 @@ def km_negation_oracle(dataset: Dataset) -> StepCdf:
     the events-first tie rule this reproduces the product-limit estimator
     factor for factor.
     """
-    curve = km_survival(-dataset.values(), dataset.detected())
+    curve = km_survival(-dataset.values, dataset.detected)
     # curve.times ascending in negated time = descending original values
     support = -curve.times[::-1]
     before = np.concatenate(([1.0], curve.survival[:-1]))
@@ -324,8 +324,8 @@ def perturb_censored_ties(dataset: Dataset, epsilon: float | None = None) -> Dat
     MLE treats such ties. epsilon defaults to half the smallest gap between
     distinct values so no new coincidence can be created.
     """
-    values = dataset.values()
-    detected = dataset.detected()
+    values = dataset.values
+    detected = dataset.detected
     if epsilon is None:
         distinct = np.unique(values)
         if distinct.size > 1:

@@ -57,9 +57,9 @@ def make_tied_dataset(rng: np.random.Generator, n: int | None = None,
                       max_n: int = 198) -> Dataset:
     """Grid dataset with at least one guaranteed exact/censored tie."""
     base = make_grid_dataset(rng, n=n, max_n=max_n)
-    value = float(base.values()[int(rng.integers(0, base.n))])
-    return Dataset(np.append(base.values(), [value, value]),
-                   np.append(base.detected(), [True, False]))
+    value = float(base.values[int(rng.integers(0, base.n))])
+    return Dataset(np.append(base.values, [value, value]),
+                   np.append(base.detected, [True, False]))
 
 
 def pairs_dataset(pairs) -> Dataset:

@@ -113,7 +113,7 @@ def test_criterion_3_property_suite(announce):
         for k in range(1000):
             d = make_grid_dataset(rng) if k % 3 else make_tie_free_dataset(rng)
             if k % 10 == 0:
-                d = Dataset(d.values(), np.ones(d.n, dtype=bool))
+                d = Dataset(d.values, np.ones(d.n, dtype=bool))
             table = tally(d)
             pl = product_limit_cdf(table)
             rhr = rhr_mle_cdf(table)
@@ -128,7 +128,7 @@ def test_criterion_3_property_suite(announce):
             assert np.all(pl.variances >= 0) and np.all(rhr.variances >= 0)
             assert rhr.lower_variance == 0.0
             assert math.isnan(pl.lower_variance) or pl.lower_variance >= 0
-            if bool(np.all(d.detected())):
+            if bool(np.all(d.detected)):
                 emp = ecdf(d)
                 assert np.array_equal(pl.values, rhr.values)
                 assert np.allclose(pl.values, emp.values, rtol=1e-12, atol=0)

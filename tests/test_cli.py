@@ -435,9 +435,22 @@ def test_failed_block_write_leaves_no_partial_file(capsys, tmp_path, monkeypatch
                          "--method", "all", "--output", str(out_path))
     assert code == 2
     assert "disk full" in err
-    assert [os.path.basename(name) for name in written] == [f".est.csv.{os.getpid()}.tmp"]
+    (name,) = map(os.path.basename, written)
+    assert name.startswith(".est.csv.") and name.endswith(".tmp")
     assert out_path.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
+
+
+def test_stale_temporary_file_does_not_block_output(capsys, tmp_path):
+    # a run killed mid-write leaves its temporary behind; a later run with
+    # the same process id still writes, and leaves that file alone
+    out_path = tmp_path / "out.csv"
+    stale = tmp_path / f".out.csv.{os.getpid()}.tmp"
+    stale.write_text("stale\n")
+    assert run(capsys, "estimate", str(SIX), "--output", str(out_path))[0] == 0
+    assert out_path.read_text() == run(capsys, "estimate", str(SIX))[1]
+    assert stale.read_text() == "stale\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "out.csv"]
 
 
 def test_output_follows_symlink_and_keeps_mode(capsys, tmp_path):
@@ -822,6 +835,29 @@ def test_sweep_rejects_bad_specs(capsys):
         code, _, err = run(capsys, "sweep", "--grid", spec, "--m", "2", "--n", "4")
         assert code == 5, spec
         assert "--grid" in err, spec
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (("estimate", str(SIX), "--eval-points", "a,b"), None,
+     "--eval-points expects comma-separated numbers, got 'a,b'"),
+    (("simulate", "--mu", "0", "--sigma", "1", "--lods", "1,x"), None,
+     "--lods expects comma-separated numbers, got '1,x'"),
+    (("sweep", "--fix", "mu=abc", "--grid", "sigma=1:2:2"), None,
+     "--fix expects a numeric value, got 'mu=abc'"),
+    (("sweep", "--grid", "sigma=a:b:3"), None,
+     "--grid expects numeric START:STOP and integer COUNT, got 'sigma=a:b:3'"),
+    (("sweep", "--grid", "mu"), None, "--grid expects NAME=START:STOP:COUNT, got 'mu'"),
+    (("simulate", "--mu", "0", "--sigma", "1"), "abc", "LODCDF_SEED must be an integer, got 'abc'"),
+    (("simulate", "--mu", "0", "--sigma", "1", "--lods", "1,x"), "abc",  # --lods is read first
+     "--lods expects comma-separated numbers, got '1,x'"),
+])
+def test_flag_text_errors_keep_their_message(capsys, monkeypatch, argv, env, message):
+    if env is None:
+        monkeypatch.delenv("LODCDF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LODCDF_SEED", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (5, "", f"lodcdf: {message}\n")
 
 
 # ------------------------------------------------------------- exit codes

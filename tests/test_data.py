@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tempfile
 from fractions import Fraction
@@ -47,39 +48,44 @@ def test_dataset_validates():
 
 def test_dataset_coerces_types():
     d = Dataset([np.float64(2.0), np.float32(0.5), 3], [np.bool_(True), np.int64(0), 1])
-    assert d.values().dtype == np.float64 and d.detected().dtype == bool
-    assert d.values().tolist() == [2.0, 0.5, 3.0]
-    assert d.detected().tolist() == [True, False, True]
-    # the stored arrays are read-only copies, handed out without copying
+    assert d.values.dtype == np.float64 and d.detected.dtype == bool
+    assert d.values.tolist() == [2.0, 0.5, 3.0]
+    assert d.detected.tolist() == [True, False, True]
+    # the stored arrays are read-only copies, and a field cannot be rebound
     values = np.array([1.0, 2.0])
     d = Dataset(values, np.array([True, False]))
-    assert d.values() is d.values() and d.detected() is d.detected()
+    assert not d.values.flags.writeable and not d.detected.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.values = np.array([5.0, 6.0])
     with pytest.raises(ValueError):
-        d.values()[0] = 5.0
+        d.values[0] = 5.0
     with pytest.raises(ValueError):
-        d.detected()[0] = False
+        d.detected[0] = False
     values[0] = 9.0
-    assert d.values().tolist() == [1.0, 2.0]
+    assert d.values.tolist() == [1.0, 2.0]
 
 
 def test_dataset_requires_a_detection():
     with pytest.raises(AllCensoredError):
         Dataset([1.0, 2.0], [False, False])
+    d = Dataset([1.0, 2.0], [True, False])
+    with pytest.raises(AllCensoredError):  # a replaced field is checked as on first build
+        dataclasses.replace(d, detected=np.zeros(d.n, bool))
 
 
 def test_dataset_arrays_round_trip():
     d = Dataset(np.array([3.0, 1.0, 2.0]), np.array([True, False, True]))
     assert d.n == 3
-    assert d.values().tolist() == [3.0, 1.0, 2.0]
-    assert d.detected().tolist() == [True, False, True]
+    assert d.values.tolist() == [3.0, 1.0, 2.0]
+    assert d.detected.tolist() == [True, False, True]
 
 
 def test_ingest_with_header_comments_and_blanks():
     text = "# a comment\n\nvalue,detected\n1.5,1\n\n# another\n0.5,0\n2,1\n"
     d = ingest(io.StringIO(text))
     assert d.n == 3
-    assert d.values().tolist() == [1.5, 0.5, 2.0]
-    assert d.detected().tolist() == [True, False, True]
+    assert d.values.tolist() == [1.5, 0.5, 2.0]
+    assert d.detected.tolist() == [True, False, True]
 
 
 def test_ingest_without_header():
@@ -99,17 +105,17 @@ def test_ingest_accepts_utf8_bom(tmp_path):
     p = tmp_path / "excel.csv"
     p.write_bytes(b"\xef\xbb\xbfvalue,detected\r\n1.5,1\r\n0.5,0\r\n")
     d = ingest(p)
-    assert d.values().tolist() == [1.5, 0.5]
-    assert d.detected().tolist() == [True, False]
+    assert d.values.tolist() == [1.5, 0.5]
+    assert d.detected.tolist() == [True, False]
     headerless = tmp_path / "bare.csv"
     headerless.write_bytes(b"\xef\xbb\xbf2,1\n")
-    assert ingest(headerless).values().tolist() == [2.0]
+    assert ingest(headerless).values.tolist() == [2.0]
 
 
 def test_ingest_strips_one_bom_from_any_source():
     d = ingest(io.StringIO("\ufeffvalue,detected\n1,1\n"))
-    assert d.values().tolist() == [1.0]
-    assert d.detected().tolist() == [True]
+    assert d.values.tolist() == [1.0]
+    assert d.detected.tolist() == [True]
     with pytest.raises(IngestError, match="line 1: unreadable value"):
         ingest(io.StringIO("\ufeff\ufeff1,1\n"))
 
@@ -120,6 +126,20 @@ def test_ingest_reports_undecodable_bytes_by_line(tmp_path):
     p.write_bytes(b"value,detected\r1,1\r\n2,0\n# 5 \xb5g/L\n")
     with pytest.raises(IngestError, match="line 4: cannot decode byte 0xb5 as UTF-8"):
         ingest(p)
+
+
+def test_ingest_reads_binary_streams_as_files(tmp_path):
+    raw = b"\xef\xbb\xbfvalue,detected\r\n1.5,1\r\n0.5,0\r2.25,1\n"
+    p = tmp_path / "excel.csv"
+    p.write_bytes(raw)
+    expected = ingest(p)
+    assert expected.values.tolist() == [1.5, 0.5, 2.25]
+    with open(p, "rb") as fh:
+        for d in (ingest(io.BytesIO(raw)), ingest(fh)):
+            assert d.values.tolist() == expected.values.tolist()
+            assert d.detected.tolist() == expected.detected.tolist()
+    with pytest.raises(IngestError, match="line 4: cannot decode byte 0xb5 as UTF-8"):
+        ingest(io.BytesIO(b"value,detected\r1,1\r\n2,0\n# 5 \xb5g/L\n"))
 
 
 def test_ingest_reports_line_numbers():
@@ -204,7 +224,7 @@ def _outcome(read):
     except (IngestError, AllCensoredError) as exc:
         return type(exc).__name__, str(exc)
     # tobytes tells -0.0 from 0.0
-    return d.values().tobytes(), d.detected().tobytes()
+    return d.values.tobytes(), d.detected.tobytes()
 
 
 @settings(max_examples=1000, deadline=None)
@@ -310,7 +330,7 @@ def test_reader_equals_float_bit_for_bit(cells, block_chars):
     text = "".join(f"{c},1\n" for c in cells)
     with mock.patch.object(data, "_BLOCK_CHARS", block_chars), \
             mock.patch.object(data, "_scan", side_effect=AssertionError("per-line scan")):
-        got = ingest(io.StringIO(text)).values()
+        got = ingest(io.StringIO(text)).values
     assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
@@ -336,14 +356,14 @@ def test_reader_reads_benchmark_sized_files_exactly(cell):
     text = "value,detected\n" + "".join(f"{c},1\n" for c in cells)
     with mock.patch.object(data, "_scan", side_effect=AssertionError("per-line scan")), \
             mock.patch.object(data, "_float_cells", side_effect=AssertionError("float() lane")):
-        got = ingest(io.StringIO(text)).values()
+        got = ingest(io.StringIO(text)).values
     assert got.tobytes() == np.fromiter(map(float, cells), np.float64, len(cells)).tobytes()
 
 
 def test_ingest_fixture():
     d = ingest(FIXTURES / "six_obs.csv")
     assert d.n == 6
-    assert int(np.sum(d.detected())) == 4
+    assert int(np.sum(d.detected)) == 4
 
 
 def test_tally_hand_counts():
@@ -408,12 +428,12 @@ def test_tally_is_a_partition(data):
     assert np.array_equal(np.cumsum(t.exact + t.censored), t.at_or_below)
     values, exact, censored, at_or_below = t.jumps()
     assert np.all(exact >= 1)
-    assert int(exact.sum()) == int(np.sum(d.detected()))
+    assert int(exact.sum()) == int(np.sum(d.detected))
     # every jump row's counts match the dataset directly
     for v, e, c, y in zip(values, exact, censored, at_or_below):
-        assert int(np.sum(d.detected() & (d.values() == v))) == e
-        assert int(np.sum(~d.detected() & (d.values() == v))) == c
-        assert int(np.sum(d.values() <= v)) == y
+        assert int(np.sum(d.detected & (d.values == v))) == e
+        assert int(np.sum(~d.detected & (d.values == v))) == c
+        assert int(np.sum(d.values <= v)) == y
 
 
 def _dict_tally(values, detected):

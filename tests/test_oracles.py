@@ -117,17 +117,17 @@ def test_perturbation_moves_only_tied_censored_values(pairs):
     d = pairs_dataset(pairs)
     pert = perturb_censored_ties(d)
     assert pert.n == d.n
-    exact_values = set(float(v) for v, f in zip(d.values(), d.detected()) if f)
+    exact_values = set(float(v) for v, f in zip(d.values, d.detected) if f)
     for before_value, before_detected, after_value, after_detected in zip(
-            d.values(), d.detected(), pert.values(), pert.detected()):
+            d.values, d.detected, pert.values, pert.detected):
         assert before_detected == after_detected
         if before_detected or float(before_value) not in exact_values:
             assert after_value == before_value
         else:
             assert before_value < after_value
     # result is free of exact/censored collisions
-    pert_exact = set(float(v) for v, f in zip(pert.values(), pert.detected()) if f)
-    pert_cens = set(float(v) for v, f in zip(pert.values(), pert.detected()) if not f)
+    pert_exact = set(float(v) for v, f in zip(pert.values, pert.detected) if f)
+    pert_cens = set(float(v) for v, f in zip(pert.values, pert.detected) if not f)
     assert not (pert_exact & pert_cens)
     # estimators coincide once ties are gone
     a = product_limit_cdf(tally(pert))

@@ -131,14 +131,14 @@ def test_lognormal_rejects_bad_sigma():
 def test_time_censoring_forced_outcomes():
     rng = substream(0, 0, CENSORING_DRAWS)
     d = apply_time_censoring(np.array([0.3, 1.5]), (0.5,), rng)
-    assert d.values().tolist() == [0.5, 1.5]
-    assert d.detected().tolist() == [False, True]
+    assert d.values.tolist() == [0.5, 1.5]
+    assert d.detected.tolist() == [False, True]
 
 
 def test_time_censoring_boundary_is_detected():
     rng = substream(0, 0, CENSORING_DRAWS)
     d = apply_time_censoring(np.array([0.5, 9.9]), (0.5,), rng)
-    assert d.detected().tolist() == [True, True]
+    assert d.detected.tolist() == [True, True]
 
 
 def test_time_censoring_lod_frequencies():
@@ -148,7 +148,7 @@ def test_time_censoring_lod_frequencies():
     lifetimes[-1] = 100.0  # keep one detection so the Dataset is valid
     lods = (0.5, 1.0, 2.0)
     d = apply_time_censoring(lifetimes, lods, substream(3, 1, CENSORING_DRAWS))
-    values = d.values()[:-1]
+    values = d.values[:-1]
     se = math.sqrt((1 / 3) * (2 / 3) / (n - 1))
     for lod in lods:
         freq = float(np.mean(values == lod))
@@ -164,21 +164,21 @@ def test_random_censoring_equal_draws_count_as_detected():
     # identical stream for lifetimes and thresholds: T == C exactly
     t = sample_lognormal(0.0, 1.0, 40, substream(2, 5, LIFETIME_DRAWS))
     d = apply_random_censoring(t, 0.0, 1.0, substream(2, 5, LIFETIME_DRAWS))
-    assert np.all(d.detected())
-    assert np.array_equal(d.values(), t)
+    assert np.all(d.detected)
+    assert np.array_equal(d.values, t)
 
 
 def test_random_censoring_tiny_threshold_detects_everything():
     t = sample_lognormal(0.0, 1.0, 200, substream(2, 6, LIFETIME_DRAWS))
     d = apply_random_censoring(t, -100.0, 1.0, substream(2, 6, CENSORING_DRAWS))
-    assert np.all(d.detected())
+    assert np.all(d.detected)
 
 
 def test_random_censoring_symmetric_half_detected():
     n = 30_000
     t = sample_lognormal(0.0, 1.0, n, substream(9, 0, LIFETIME_DRAWS))
     d = apply_random_censoring(t, 0.0, 1.0, substream(9, 0, CENSORING_DRAWS))
-    frac = float(np.mean(d.detected()))
+    frac = float(np.mean(d.detected))
     se = math.sqrt(0.25 / n)
     assert abs(frac - 0.5) < 3 * se
 
