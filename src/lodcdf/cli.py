@@ -14,7 +14,8 @@ dataset, 5 invalid study parameters, 6 every replication degenerate.
 
 All output is computed in memory, then written block by block to a
 temporary file that replaces the target, so a failing run never leaves a
-partial file behind. CSV numbers are exactly C's %.7g (7 significant
+partial file behind; a path naming an open descriptor, such as
+/dev/stdout, is written to that descriptor. CSV numbers are exactly C's %.7g (7 significant
 digits); JSON carries full precision. A NaN variance is printed as
 "unstable" in CSV and null in JSON. The LODCDF_SEED environment variable
 supplies the default seed for simulate/sweep.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import stat
 import sys
 from dataclasses import asdict
@@ -62,73 +64,111 @@ _FITS = {
 }
 METHODS = tuple(_FITS)
 
-# CSV cells are rendered this many rows at a time, so a large table never
-# holds more than one block of cell bytes at once.
+# CSV rows are laid out this many at a time, so a large table never holds
+# more than one block of cell bytes at once.
 _BLOCK_ROWS = 4096
 
-# Word tables for %.7g's fixed notation (decimal exponents -4..6), cells
-# being two little-endian 64-bit words of ASCII padded with NULs:
-# _QUAD[k] holds the four digits of k < 10**4, _MASK[k] the low k bytes.
-_QUAD = sum((48 + np.arange(10_000, dtype=np.uint64) // 10 ** (3 - j) % 10) << 8 * j for j in range(4))
-_MASK = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-_ZEROS = np.uint64(int.from_bytes(b"0000000", "little"))
-_LEAD = np.uint64(int.from_bytes(b"0.000", "little"))
-_POW10 = 10.0 ** np.arange(11)  # exact: every power up to 10**22 is a double
+# A block is a (rows, words) array of little-endian 64-bit words holding
+# ASCII padded with NULs. Each column owns a slot of consecutive words: two
+# for a float, three for an integer (20 characters at most), one for a None
+# column. A slot's last byte is its separator, always a comma; the line's
+# last word then swaps it for a newline, and one translate drops the NULs.
+_COMMA = np.uint64(ord(",") << 56)
+_TO_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)
+
+# %.7g's fixed notation (decimal exponent e in -4..6) takes its 7 digits
+# from m = rint(x * 10**(6 - e)), 10**6 <= m <= 10**7, as m = 1000 q + r:
+# _HEAD[q] holds the digits of q in bytes 0-3, _TAIL[r] those of r in bytes
+# 4-6, and bits 59-63 how many digits are left once trailing zeros go (q's
+# count in bits 59-61, r's in 62-63), so that the OR of both words names
+# its layout. m = 10**7 (q = 10**4) keeps no digit: x rounds up to 10**(e + 1).
+_PAIR = np.arange(100, dtype=np.uint64)
+_PAIR_ZEROS = (_PAIR % 10 == 0).astype(np.int64) + (_PAIR == 0)  # trailing zeros of two digits
+_PAIR = 48 + _PAIR // 10 | (48 + _PAIR % 10) << 8
+_QUAD = (_PAIR[:, None] | _PAIR << 16).ravel()  # the four digits of q < 10**4
+_KEPT = (4 - np.where(_PAIR_ZEROS == 2, 2 + _PAIR_ZEROS[:, None], _PAIR_ZEROS)).ravel().astype(np.uint64)
+_HEAD = np.append(_QUAD | _KEPT << 59, np.uint64(0))
+_TAIL = (_QUAD[:1000] >> 8) << 32 | np.maximum(_KEPT[:1000], 1) - 1 << 62
+del _PAIR, _PAIR_ZEROS, _QUAD, _KEPT
+
+# k = e + 5 for e in -4..6, 0 below (zero, subnormals, negatives) and 12
+# above (inf, NaN): the k of a binade's smallest double, plus one from the
+# power of ten inside it, if any. A lane of k 0 or 12 is scaled by NaN.
+_POW10 = np.array([float(f"1e{e}") for e in range(-4, 11)])
+_BINADE_K = np.searchsorted(_POW10[:12], (np.arange(2048) << 52).view(np.float64), side="right")
+_BINADE_EDGE = np.append(_POW10[:12], np.nan)[_BINADE_K]
+_SCALE = np.array([np.nan, *_POW10[:3:-1], np.nan])  # 10**(6 - e), exact
 
 
-def _cells(column: np.ndarray | None, rows: int) -> np.ndarray:
-    """CSV cells as (rows, width) NUL-padded ASCII: a None column (one the
-    method does not provide) empty, integers as they are, floats as C's
-    %.7g with NaN as 'unstable'.
+def _layout(k: int, kept: int) -> tuple[int, int, int, int]:
+    """Masks, shift and constant placing the kept digits of a cell of k.
 
-    Positive floats with decimal exponent e in -4..6 (%.7g's fixed
-    notation) get their 7 digits from m = rint(x * 10**(6 - e)), which is
-    correctly rounded: the scaled value carries one rounding (under 2e-9),
-    and cells where it lies within 1e-6 of a half or outside [1e6, 1e7)
-    are formatted one by one, like zero, negatives, subnormals, inf, NaN
-    and other exponents. Every lane is laid out; those formatted one by
-    one get the stand-in 1.0 (no overflow) and digits 10**6, then are
-    overwritten.
+    Its text is ``(D & low) | (D & high) << shift`` over the 128 bits of the
+    slot, D being the digit word, with ``const`` ORed in: the leading
+    "0.000" of e < 0, the point of e >= 0, or a whole rounded-up power of ten.
     """
-    if column is None:
-        return np.zeros((rows, 0), dtype=np.uint8)
-    if column.dtype.kind in "biu":
-        return column.astype(np.int64).astype("S20").view(np.uint8).reshape(rows, 20)
-    x = column.astype(np.float64)
-    cells = np.empty((rows, 2), dtype="<u8")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(x))
-    fast = (e >= -4) & (e <= 6)  # NaN, inf, zero and negatives compare False
-    e = np.where(fast, e, 0).astype(np.int64)
-    s = np.where(fast, x, 1.0) * _POW10[6 - e]
-    m = np.rint(s)
-    fast &= (s >= 1e6) & (m < 1e7) & (np.abs(s - np.floor(s) - 0.5) >= 1e-6)
-    m = np.where(fast, m, 1e6).astype(np.int64)
-    # The digits as bytes 0-6 of a word. XOR with ASCII "0"s leaves digit j
-    # in byte j, so the kept digits end at the highest nonzero byte.
-    digits = _QUAD[m // 1000] | (_QUAD[m % 1000] >> 8) << 32
-    kept = ((np.frexp((digits ^ _ZEROS).astype(np.float64))[1] + 7) // 8).astype(np.uint64)
-    # e >= 0: the p = e + 1 integer digits, ".", the rest ("." dropped when
-    # nothing follows it). e < 0: q = 1 - e bytes of "0.000", then the digits.
-    p = np.maximum(e + 1, 1).astype(np.uint64)
-    q = np.maximum(1 - e, 2).astype(np.uint64)
-    whole = np.maximum(kept, p)
-    point = e >= 0
-    length = np.where(point, whole + (whole > p), q + kept)
-    lo = np.where(point, (digits & _MASK[p]) | 46 << 8 * p | (digits >> 8 * p) << 8 * p + 8,
-                  _LEAD & _MASK[q] | digits << 8 * q)
-    hi = np.where(point, 0, digits >> 64 - 8 * q)
-    cells[:, 0] = lo & _MASK[np.minimum(length, 8)]
-    cells[:, 1] = hi & _MASK[np.maximum(length, 8) - 8]
-    cells = cells.view(np.uint8)
+    e = k - 5
+    if kept == 0:
+        return 0, 0, 8, int.from_bytes(format(10.0 ** (e + 1), ".7g").encode(), "little")
+    if e < 0:
+        return 0, (1 << 8 * kept) - 1, 8 * (1 - e), int.from_bytes(b"0.000"[:1 - e], "little")
+    low = (1 << 8 * (e + 1)) - 1
+    if kept <= e + 1:
+        return low, 0, 8, 0
+    return low, (1 << 8 * kept) - 1 - low, 8, ord(".") << 8 * (e + 1)
+
+
+# Rows low, high, shift, const; the column is the digit word's bits 55-63
+# plus k. Entries no lane of k 1..11 reaches stay 0.
+_LAYOUT = np.zeros((4, 512), dtype=np.uint64)
+_columns, _entries = zip(*[((head + 8 * tail) * 16 + k, _layout(k, 4 + tail if tail else head))
+                           for k in range(1, 12) for head in range(5) for tail in range(4)])
+_LAYOUT[:, list(_columns)] = np.array(_entries, dtype=np.uint64).T
+del _columns, _entries
+
+
+def _float_slot(lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> None:
+    """Write the cells of the floats ``x``, C's %.7g with NaN as 'unstable',
+    into the two word columns ``lo`` and ``hi`` of their slot.
+
+    The 7 digits of m = rint(x * 10**(6 - e)) are correctly rounded: the
+    scaled value carries one rounding (under 2e-9), and lanes within 1e-6
+    of a half are formatted one by one by ``_fmt``, like zero, negatives,
+    subnormals, inf, NaN and other exponents. Every lane is laid out first;
+    indices of the lanes formatted one by one are clipped into the tables.
+    """
+    with np.errstate(invalid="ignore"):
+        binade = x.view(np.int64) >> 52
+        k = _BINADE_K.take(binade, mode="clip")
+        k += x >= _BINADE_EDGE.take(binade, mode="clip")
+        s = _SCALE.take(k)
+        s *= x
+        m = np.rint(s)
+        fast = np.abs(np.subtract(s, m, out=s), out=s) <= 0.5 - 1e-6
+        m = m.astype(np.int64)
+    q = m * 274_877_907 >> 38  # m // 1000 for 0 <= m < 2**24
+    digits = _HEAD.take(q, mode="clip")
+    digits |= _TAIL.take(m - q * 1000, mode="clip")
+    code = (digits >> 55).view(np.int64)
+    code += k
+    low, high, shift, const = (table.take(code) for table in _LAYOUT)
+    high &= digits
+    low &= digits
+    low |= const
+    np.bitwise_or(low, high << shift, out=lo)
+    np.right_shift(high, 64 - shift, out=high)
+    np.bitwise_or(high, _COMMA, out=hi)
     if not fast.all():
-        text = [_fmt(v) for v in x[~fast].tolist()]
-        cells[~fast] = np.array(text, dtype="S16").view(np.uint8).reshape(-1, 16)
-    return cells
+        slow = np.flatnonzero(~fast)
+        text = np.array([_fmt(v) for v in x[slow].tolist()], dtype="S16").view(np.uint64)
+        lo[slow] = text[0::2]
+        hi[slow] = text[1::2] | _COMMA
 
 
 def _fmt(x: float) -> str:
-    """One float as a CSV cell: C's %.7g, NaN as 'unstable'. ``_cells`` is its vectorized form."""
+    """One float as a CSV cell: C's %.7g, NaN as 'unstable'. ``_float_slot``
+    writes the same text a block at a time; the lanes it cannot and the
+    ``#`` header values come from here."""
     return "unstable" if x != x else format(x, ".7g")
 
 
@@ -140,20 +180,38 @@ def _csv(header: list[str], columns: dict[str, np.ndarray | None]) -> list[bytes
     """
     rows = len(next(iter(columns.values())))
     parts = [("\n".join([*header, ",".join(columns)]) + "\n").encode()]
-    for start in range(0, rows, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, rows - start)
-        comma = np.full((n, 1), ord(","), np.uint8)
-        blocks = [c if c is None else c[start:start + n] for c in columns.values()]
-        # A block with the dtype and bytes of an earlier one reuses its
-        # cells; equal values are not enough (-0.0 == 0.0, 10**7 == 1e7).
-        keys = [b if b is None else (b.dtype, b.tobytes()) for b in blocks]
-        line: list[np.ndarray] = []
-        for i, (b, key) in enumerate(zip(blocks, keys)):
-            j = keys.index(key)
-            line += (line[2 * j] if j < i else _cells(b, n), comma)
-        line[-1] = np.full((n, 1), ord("\n"), np.uint8)
-        parts.append(np.concatenate(line, axis=1).tobytes().translate(None, b"\0"))
+    for first in range(0, rows, _BLOCK_ROWS):
+        blocks = [c if c is None else c[first:first + _BLOCK_ROWS] for c in columns.values()]
+        parts.append(_lines(blocks).tobytes().translate(None, b"\0"))
     return parts
+
+
+def _lines(blocks: list[np.ndarray | None]) -> np.ndarray:
+    """One block of rows as a (rows, words) array, a slot per column. The
+    copies of the blocks' bytes that pick shared slots die with this call,
+    before the caller translates the words."""
+    widths = [1 if b is None else 3 if b.dtype.kind in "biu" else 2 for b in blocks]
+    starts = np.cumsum([0, *widths]).tolist()
+    n = len(blocks[0])
+    words = np.empty((n, starts[-1]), dtype=np.uint64)
+    # A block with the dtype and bytes of an earlier one copies its slot;
+    # equal values are not enough (-0.0 == 0.0, 10**7 == 1e7).
+    keys = [b if b is None else (b.dtype, b.tobytes()) for b in blocks]
+    for i, (b, key) in enumerate(zip(blocks, keys)):
+        j = keys.index(key)
+        slot = words[:, starts[i]:starts[i + 1]]
+        if j < i:
+            for w in range(widths[i]):
+                slot[:, w] = words[:, starts[j] + w]
+        elif b is None:
+            slot[:, 0] = _COMMA
+        elif b.dtype.kind in "biu":
+            slot[:] = b.astype(np.int64).astype("S24").view(np.uint64).reshape(n, 3)
+            slot[:, 2] |= _COMMA
+        else:
+            _float_slot(slot[:, 0], slot[:, 1], b.astype(np.float64, copy=False))
+    words[:, -1] ^= _TO_NEWLINE
+    return words
 
 
 def _json(doc: dict) -> list[bytes]:
@@ -256,14 +314,23 @@ def _parse_floats(text: str, *, flag: str) -> list[float]:
 def _emit(parts: list[bytes], output: str | None) -> None:
     """Write the blocks ``parts`` in turn to stdout or to ``output``, following symlinks.
 
-    A new file, or an existing regular file with one link that this user
-    owns, is replaced in one step by a temporary file written next to it,
-    keeping its mode: a failed write leaves it as it was and no partial
-    file behind. Anything else (a FIFO, a device, a directory, a
+    A path naming an open descriptor (``/dev/stdout``, ``/dev/stderr``,
+    ``/dev/fd/N``, ``/proc/self/fd/N``) is written to that descriptor as it
+    is, so a pipe works and a file the shell opened for appending keeps what
+    it holds. A new file, or an existing regular file with one link that
+    this user owns, is replaced in one step by a temporary file written next
+    to it, keeping its mode: a failed write leaves it as it was and no
+    partial file behind. Anything else (a FIFO, a device, a directory, a
     hard-linked or another user's file) is opened and written in place.
     """
     if output is None or output == "-":
         sys.stdout.writelines(part.decode() for part in parts)
+        return
+    named = re.fullmatch(r"/dev/(stdout|stderr)|/(?:dev|proc/self)/fd/([0-9]+)", output)
+    if named is not None:
+        std, number = named.groups()
+        with open(int(number) if std is None else 1 + (std == "stderr"), "wb", closefd=False) as fh:
+            fh.writelines(parts)
         return
     target = Path(os.path.realpath(output))
     st = target.stat() if target.exists() else None

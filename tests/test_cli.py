@@ -349,6 +349,30 @@ def test_rendered_cells_match_at_rounding_edges(block_rows):
     assert [cli._fmt(v) for v in x.tolist()] == expected
 
 
+def test_fit_shaped_columns_render_as_the_scalar_format_across_blocks():
+    """Three blocks and more at the default block size: sorted support
+    values, CDF values in (0, 1], standard errors with 0, subnormal and NaN
+    lanes, an integer column, a None column and columns equal to earlier
+    ones, ending in a None column or in a copy."""
+    rows = 3 * cli._BLOCK_ROWS + 5
+    rng = np.random.default_rng(31)
+    t = np.sort(rng.lognormal(0.0, 2.0, rows))
+    cdf = np.sort(rng.uniform(0.0, 1.0, rows))
+    cdf[0], cdf[-1] = 5e-5, 1.0
+    se = rng.uniform(0.0, 0.05, rows)
+    edges = [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, 2 * cli._BLOCK_ROWS, rows - 1]
+    se[edges] = [0.0, 5e-324, np.nan, 2.2250738585072014e-308 / 3, np.nan, 0.0]
+    counts = rng.integers(-10**12, 10**12, rows)
+    tables = [
+        {"t": t, "estimate": cdf, "estimate_again": cdf.copy(), "se": se, "n": counts, "none": None},
+        {"t": t, "estimate": cdf, "se": se, "n": counts, "none": None, "se_again": se.copy()},
+    ]
+    for columns in tables:
+        values = [[None] * rows if c is None else c.tolist() for c in columns.values()]
+        expected = [",".join(map(fmt_cell, row)) for row in zip(*values)]
+        assert _rendered(columns, cli._BLOCK_ROWS) == expected
+
+
 def test_negative_zero_prints_as_minus_zero(capsys, tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("value,detected\n-0.0,1\n1,0\n2,1\n")
@@ -480,6 +504,32 @@ def test_output_to_fifo_is_written_in_place(capsys, tmp_path):
         os.close(reader)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def _estimate_six(*argv: str, **streams) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "lodcdf.cli", "estimate", str(SIX), *argv], **streams)
+
+
+def test_output_to_dev_stdout_writes_into_a_pipe():
+    """``--output /dev/stdout`` writes to the descriptor, so a pipe gets the
+    table instead of a failed attempt at a temporary file beside it."""
+    plain = _estimate_six(capture_output=True)
+    piped = _estimate_six("--output", "/dev/stdout", capture_output=True)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == plain.stdout and b"1,0.4444444,0.04938272,0.2222222" in piped.stdout
+
+
+def test_output_to_dev_stdout_appends_to_a_redirected_file(tmp_path):
+    """With stdout opened for appending (``>> f``), ``--output /dev/stdout``
+    adds the table after what the file holds rather than replacing it."""
+    target = tmp_path / "f.csv"
+    target.write_bytes(b"keep\n")
+    plain = _estimate_six(capture_output=True)
+    with open(target, "ab") as fh:
+        proc = _estimate_six("--output", "/dev/stdout", stdout=fh, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert target.read_bytes() == b"keep\n" + plain.stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
 
 def test_output_to_directory_exits_2(capsys, tmp_path, monkeypatch):
